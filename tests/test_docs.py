@@ -5,9 +5,11 @@ Two guarantees, both cheap enough to gate every CI run:
 * **no dead links** — every relative markdown link and every
   ``#fragment`` in ``docs/`` and the top-level guides resolves to a
   real file (and, for fragments, a real heading in it);
-* **no stale API references** — docs never point readers at the
+* **no stale API references** — the reader-facing pages (``docs/``,
+  ``README.md`` and ``DESIGN.md``) never point readers at the
   deprecated config derivations that :mod:`repro.edge.deploy`
-  superseded.
+  superseded. ``ROADMAP.md`` and ``CHANGES.md`` are outside this grep:
+  they name the shims to plan and record their removal.
 
 The metric-catalogue drift gate lives in ``tests/test_stream.py``
 alongside the generator it checks.
@@ -20,12 +22,22 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: The markdown that makes promises worth checking.
-DOC_FILES = sorted(
-    [*(REPO / "docs").glob("*.md"), REPO / "README.md"]
-    + [REPO / name for name in ("DESIGN.md", "ROADMAP.md")
-       if (REPO / name).exists()]
+
+def _existing(*names):
+    return [REPO / name for name in names if (REPO / name).exists()]
+
+
+#: The pages a reader learns the API from.
+READER_DOCS = sorted(
+    [*(REPO / "docs").glob("*.md"), REPO / "README.md", *_existing("DESIGN.md")]
 )
+
+#: The markdown that makes promises worth checking: the reader-facing
+#: pages plus the work plan, whose links must resolve too.
+DOC_FILES = sorted(READER_DOCS + _existing("ROADMAP.md"))
+
+#: Config derivations that :mod:`repro.edge.deploy` superseded.
+_STALE_APIS = ("EdgeConfig.worker_configs", "WorkerConfig.serve_config")
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -67,17 +79,40 @@ def test_relative_links_resolve(doc):
     )
 
 
-def test_docs_never_advertise_deprecated_config_derivations():
+def _stale_mentions(paths):
+    """``(page, name)`` for every deprecated derivation a page names."""
     stale = []
-    for doc in DOC_FILES:
+    for doc in paths:
         text = doc.read_text(encoding="utf-8")
-        for needle in ("EdgeConfig.worker_configs", "WorkerConfig.serve_config"):
-            if needle in text:
-                stale.append(f"{doc.relative_to(REPO)}: {needle}")
+        stale += [(doc, needle) for needle in _STALE_APIS if needle in text]
+    return stale
+
+
+def test_docs_never_advertise_deprecated_config_derivations():
+    stale = [
+        f"{doc.relative_to(REPO)}: {needle}"
+        for doc, needle in _stale_mentions(READER_DOCS)
+    ]
     assert not stale, (
         "docs reference deprecated derivations (use EdgeDeployment):\n  "
         + "\n  ".join(stale)
     )
+
+
+def test_stale_api_grep_flags_each_name_and_covers_reader_pages(tmp_path):
+    clean = tmp_path / "clean.md"
+    clean.write_text("Derive worker configs with `EdgeDeployment`.\n",
+                     encoding="utf-8")
+    for needle in _STALE_APIS:
+        page = tmp_path / "stale.md"
+        page.write_text(f"Derive them with `{needle}()`.\n", encoding="utf-8")
+        assert _stale_mentions([clean, page]) == [(page, needle)]
+    reader_pages = {
+        *(REPO / "docs").glob("*.md"), REPO / "README.md",
+        *_existing("DESIGN.md"),
+    }
+    assert REPO / "docs" / "index.md" in reader_pages
+    assert reader_pages <= set(READER_DOCS)
 
 
 def test_every_docs_page_is_reachable_from_the_index():
