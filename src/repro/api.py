@@ -3,7 +3,9 @@
 ``repro.api`` is the one import surface downstream code should build
 against: everything re-exported here follows the deprecation policy in
 docs/architecture.md (nothing disappears without a DeprecationWarning
-shim for at least one release), and the snapshot test in
+shim for at least one release; the ``SensorFrame.vtn_shift``/``vtp_shift``
+names and the config derivations on ``EdgeConfig``/``WorkerConfig`` had
+theirs and are gone), and the snapshot test in
 ``tests/test_api_surfaces.py`` fails the suite on any accidental change
 to this surface.
 

@@ -17,8 +17,8 @@ tests pin this).  Every decision carries the measured event-to-decision
 latency; the server counts misses against the deadline budget.
 
 :class:`DtmClient` is the typed ``dtm.*`` client, one verb per method,
-over any wire face — NDJSON, binary frames (JSON body) or HTTP
-(``GET /v1/dtm/status`` / ``POST /v1/dtm/<verb>``).
+over any wire face — NDJSON, binary frames (JSON body) or HTTP (each
+verb's route in :data:`repro.edge.protocol.OPS`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import telemetry
 from repro.edge import protocol
-from repro.edge.client import WIRE_FORMATS, EdgeClient, RetryPolicy, StreamReceiver
+from repro.edge.client import (
+    CONTROL_WIRES,
+    WIRE_FORMATS,
+    ControlClient,
+    EdgeClient,
+    RetryPolicy,
+    StreamReceiver,
+)
 from repro.edge.protocol import EdgeError
 from repro.network.dtm import DtmPolicy, decide
 from repro.telemetry.runaway import ALERT_WARNING
@@ -47,11 +54,7 @@ _RECONNECTS = telemetry.counter(
     help="Stream resubscribes after a dropped connection",
 )
 
-#: Wire faces the DTM client speaks (the data wires plus HTTP).
-DTM_WIRES = ("ndjson", "binary", "http")
-
-
-class DtmClient:
+class DtmClient(ControlClient):
     """Typed client for the ``dtm.*`` control plane, over any wire.
 
     One verb per method::
@@ -66,44 +69,9 @@ class DtmClient:
     simply reissues on the next event if a send fails.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        wire: str = "ndjson",
-        timeout_s: float = 30.0,
-    ) -> None:
-        if wire not in DTM_WIRES:
-            raise ValueError(f"wire must be one of {DTM_WIRES}, not {wire!r}")
-        self.host = host
-        self.port = port
-        self.wire = wire
-        self.timeout_s = timeout_s
-        self._client: Optional[EdgeClient] = None
-        if wire in WIRE_FORMATS:
-            self._client = EdgeClient(
-                host,
-                port,
-                timeout_s=timeout_s,
-                retry=RetryPolicy(attempts=1),
-                wire=wire,
-            )
-
-    def close(self) -> None:
-        if self._client is not None:
-            self._client.close()
-
-    def __enter__(self) -> "DtmClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ verbs
-
     def status(self) -> Dict[str, Any]:
         """Policy, standing scales and the exact decision accounting."""
-        return self._call(protocol.DTM_STATUS)
+        return self.call(protocol.DTM_STATUS)
 
     def throttle(
         self,
@@ -113,7 +81,7 @@ class DtmClient:
         latency_ms: Optional[float] = None,
     ) -> Dict[str, Any]:
         """Apply one throttle decision (idempotent by round)."""
-        return self._call(
+        return self.call(
             protocol.DTM_THROTTLE,
             stack=stack,
             tier=tier,
@@ -129,7 +97,7 @@ class DtmClient:
         latency_ms: Optional[float] = None,
     ) -> Dict[str, Any]:
         """Apply one release decision (idempotent by round)."""
-        return self._call(
+        return self.call(
             protocol.DTM_RELEASE,
             stack=stack,
             tier=tier,
@@ -139,50 +107,11 @@ class DtmClient:
 
     def decisions(self, since: int = 0) -> Dict[str, Any]:
         """Tail the applied-decision log past sequence number ``since``."""
-        return self._call(protocol.DTM_DECISIONS, since=since)
+        return self.call(protocol.DTM_DECISIONS, since=since)
 
     def reset(self) -> Dict[str, Any]:
         """Drop every scale back to full power (tests and maintenance)."""
-        return self._call(protocol.DTM_RESET)
-
-    # --------------------------------------------------------------- plumbing
-
-    def _call(self, op: str, **fields: Any) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"op": op}
-        payload.update({k: v for k, v in fields.items() if v is not None})
-        if self.wire == "http":
-            answer = self._http_call(op, payload)
-        else:
-            answer = self._client.raw(payload)
-        if not answer.get("ok"):
-            raise EdgeError.from_wire(answer.get("error", {}))
-        return answer
-
-    def _http_call(self, op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        import http.client
-        import json
-
-        headers = {"Content-Type": "application/json"}
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            if op == protocol.DTM_STATUS:
-                connection.request("GET", "/v1/dtm/status", headers=headers)
-            else:
-                verb = op.split(".", 1)[1]
-                body = json.dumps(
-                    {k: v for k, v in payload.items() if k != "op"},
-                    separators=(",", ":"),
-                ).encode("utf-8")
-                connection.request(
-                    "POST", f"/v1/dtm/{verb}", body=body, headers=headers
-                )
-            response = connection.getresponse()
-            blob = response.read()
-        finally:
-            connection.close()
-        return protocol.decode_line(blob)
+        return self.call(protocol.DTM_RESET)
 
 
 @dataclass(frozen=True)
@@ -214,8 +143,10 @@ class DtmServiceConfig:
     def __post_init__(self) -> None:
         if self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
-        if self.wire not in DTM_WIRES:
-            raise ValueError(f"wire must be one of {DTM_WIRES}, not {self.wire!r}")
+        if self.wire not in CONTROL_WIRES:
+            raise ValueError(
+                f"wire must be one of {CONTROL_WIRES}, not {self.wire!r}"
+            )
 
 
 class DtmService:

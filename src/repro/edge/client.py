@@ -356,49 +356,48 @@ class StreamReceiver:
             self.unsubscribe()
 
 
-#: Wires the admin client speaks; the data wires plus the HTTP adapter.
-ADMIN_WIRES = ("ndjson", "binary", "http")
+#: Wires the control clients speak; the data wires plus the HTTP adapter.
+CONTROL_WIRES = ("ndjson", "binary", "http")
+ADMIN_WIRES = CONTROL_WIRES
 
 
-class AdminClient:
-    """Typed client for the ``admin.*`` control plane, over any wire.
-
-    One verb per method::
-
-        with AdminClient(host, port, token="s3cret") as admin:
-            admin.scale(4)              # reshape the pool
-            admin.drain_shard(3)        # drain + remove one shard
-            admin.restart()             # rolling restart, one shard at a time
-            admin.status()["status"]    # topology, generation, health
+class ControlClient:
+    """Typed client for the edge's control ops, over any wire.
 
     ``wire`` may be ``"ndjson"``, ``"binary"`` (the op rides a JSON-body
-    frame) or ``"http"`` (``POST /v1/admin/<verb>`` /
-    ``GET /v1/admin/status``, token in the ``X-Admin-Token`` header).
-    Admin ops are **not retried**: a reshape is not idempotent, so a
-    failure surfaces to the operator instead of being resent.
+    frame) or ``"http"`` (the op's route in
+    :data:`~repro.edge.protocol.OPS`; a ``token`` also rides the
+    ``X-Admin-Token`` header).  :meth:`call` runs one op; subclasses add
+    one method per verb.  Control ops are **not retried**: a reshape is
+    not idempotent, so a failure surfaces to the caller instead of being
+    resent.
     """
+
+    #: Socket timeout when the caller gives none.
+    default_timeout_s = 30.0
 
     def __init__(
         self,
         host: str,
         port: int,
+        *,
         token: Optional[str] = None,
         wire: str = "ndjson",
-        timeout_s: float = 120.0,
+        timeout_s: Optional[float] = None,
     ) -> None:
-        if wire not in ADMIN_WIRES:
-            raise ValueError(f"wire must be one of {ADMIN_WIRES}, not {wire!r}")
+        if wire not in CONTROL_WIRES:
+            raise ValueError(f"wire must be one of {CONTROL_WIRES}, not {wire!r}")
         self.host = host
         self.port = port
         self.token = token
         self.wire = wire
-        self.timeout_s = timeout_s
+        self.timeout_s = self.default_timeout_s if timeout_s is None else timeout_s
         self._client: Optional[EdgeClient] = None
         if wire in WIRE_FORMATS:
             self._client = EdgeClient(
                 host,
                 port,
-                timeout_s=timeout_s,
+                timeout_s=self.timeout_s,
                 retry=RetryPolicy(attempts=1),
                 wire=wire,
             )
@@ -407,33 +406,14 @@ class AdminClient:
         if self._client is not None:
             self._client.close()
 
-    def __enter__(self) -> "AdminClient":
+    def __enter__(self) -> "ControlClient":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ verbs
-
-    def status(self) -> Dict[str, Any]:
-        """Topology, ring generation, spares and per-shard health."""
-        return self._call(protocol.ADMIN_STATUS)
-
-    def scale(self, shards: int) -> Dict[str, Any]:
-        """Reshape the pool to ``shards`` active shards."""
-        return self._call(protocol.ADMIN_SCALE, shards=shards)
-
-    def drain_shard(self, shard: int) -> Dict[str, Any]:
-        """Drain one shard's in-flight reads, then remove it."""
-        return self._call(protocol.ADMIN_DRAIN_SHARD, shard=shard)
-
-    def restart(self, shard: Optional[int] = None) -> Dict[str, Any]:
-        """Rolling restart (or recycle just ``shard`` when given)."""
-        return self._call(protocol.ADMIN_RESTART, shard=shard)
-
-    # --------------------------------------------------------------- plumbing
-
-    def _call(self, op: str, **fields: Any) -> Dict[str, Any]:
+    def call(self, op: str, **fields: Any) -> Dict[str, Any]:
+        """Run ``op`` with the non-``None`` ``fields``; raises typed failures."""
         payload: Dict[str, Any] = {"op": op}
         payload.update({k: v for k, v in fields.items() if v is not None})
         if self.token is not None:
@@ -453,26 +433,55 @@ class AdminClient:
         headers = {"Content-Type": "application/json"}
         if self.token is not None:
             headers["X-Admin-Token"] = self.token
+        method = protocol.OPS[op].http
+        body = None
+        if method == "POST":
+            body = json.dumps(
+                {k: v for k, v in payload.items() if k != "op"},
+                separators=(",", ":"),
+            ).encode("utf-8")
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout_s
         )
         try:
-            if op == protocol.ADMIN_STATUS:
-                connection.request("GET", "/v1/admin/status", headers=headers)
-            else:
-                verb = op.split(".", 1)[1]
-                body = json.dumps(
-                    {k: v for k, v in payload.items() if k != "op"},
-                    separators=(",", ":"),
-                ).encode("utf-8")
-                connection.request(
-                    "POST", f"/v1/admin/{verb}", body=body, headers=headers
-                )
-            response = connection.getresponse()
-            blob = response.read()
+            connection.request(
+                method, protocol.http_path(op), body=body, headers=headers
+            )
+            blob = connection.getresponse().read()
         finally:
             connection.close()
         return protocol.decode_line(blob)
+
+
+class AdminClient(ControlClient):
+    """Typed client for the ``admin.*`` control plane, over any wire.
+
+    One verb per method::
+
+        with AdminClient(host, port, token="s3cret") as admin:
+            admin.scale(4)              # reshape the pool
+            admin.drain_shard(3)        # drain + remove one shard
+            admin.restart()             # rolling restart, one shard at a time
+            admin.status()["status"]    # topology, generation, health
+    """
+
+    default_timeout_s = 120.0  # reshapes drain shards and spawn processes
+
+    def status(self) -> Dict[str, Any]:
+        """Topology, ring generation, spares and per-shard health."""
+        return self.call(protocol.ADMIN_STATUS)
+
+    def scale(self, shards: int) -> Dict[str, Any]:
+        """Reshape the pool to ``shards`` active shards."""
+        return self.call(protocol.ADMIN_SCALE, shards=shards)
+
+    def drain_shard(self, shard: int) -> Dict[str, Any]:
+        """Drain one shard's in-flight reads, then remove it."""
+        return self.call(protocol.ADMIN_DRAIN_SHARD, shard=shard)
+
+    def restart(self, shard: Optional[int] = None) -> Dict[str, Any]:
+        """Rolling restart (or recycle just ``shard`` when given)."""
+        return self.call(protocol.ADMIN_RESTART, shard=shard)
 
 
 class AsyncEdgeClient:

@@ -16,10 +16,9 @@ deployment once, derive every layer from it::
     workers = deployment.worker_configs()        # one per shard
     service = deployment.serve_config(0)         # shard 0's embedded service
 
-The old derivation constructors (``EdgeConfig.worker_configs()``,
-``WorkerConfig.serve_config()``) survive as ``DeprecationWarning`` shims
-delegating here; internal code never calls them (CI runs the suite with
-``-W error::DeprecationWarning``).
+The old derivation constructors on ``EdgeConfig`` and ``WorkerConfig``
+served one release as ``DeprecationWarning`` shims delegating here, and
+are gone.
 
 The elastic :class:`~repro.edge.supervisor.ShardPool` uses
 :meth:`EdgeDeployment.worker_config` as its shard factory: a shard
@@ -45,11 +44,7 @@ from repro.serve.service import ServeConfig
 
 
 def serve_config_for(worker: WorkerConfig) -> ServeConfig:
-    """The embedded-service config of one shard worker (canonical).
-
-    This is the derivation ``WorkerConfig.serve_config()`` used to own;
-    the shim there now delegates here.
-    """
+    """The embedded-service config of one shard worker (canonical)."""
     return ServeConfig(
         tiers=worker.tiers,
         seed=worker.seed,

@@ -15,15 +15,16 @@ Operations::
 
     {"v": 1, "id": "r1", "op": "read", "stack": 7, "request": {...}}
     {"id": "p1", "op": "ping"}
-    {"id": "s1", "id": "s1", "op": "stats"}
+    {"id": "s1", "op": "stats"}
     {"id": "a1", "op": "admin.scale", "shards": 4, "token": "..."}
 
-The ``admin.*`` family (:data:`ADMIN_OPS`) is the control plane: shard
-topology queries and reshapes.  Admin ops ride every wire the data ops
-do — NDJSON lines, binary frames (JSON body), and HTTP
-(``POST /v1/admin/<verb>`` / ``GET /v1/admin/status``) — and are gated
-by the deployment's ``admin_token`` when one is configured (a missing
-or wrong token answers ``invalid``; the vocabulary stays closed).
+:data:`OPS` is the closed op vocabulary: each op's token gate, whether
+it runs off the connection's line order, and its HTTP route.  The
+``admin.*`` family (:data:`ADMIN_OPS`) is the control plane: shard
+topology queries and reshapes, gated by the deployment's
+``admin_token`` when one is configured.  Control ops ride every wire
+the data ops do — NDJSON lines, binary frames (JSON body), and HTTP
+(``GET`` or ``POST`` on :func:`http_path`).
 
 ``read`` carries one :class:`~repro.serve.requests.ReadRequest` in wire
 form (see :func:`request_to_wire`); ``stack`` is the client-visible
@@ -105,46 +106,87 @@ HTTP_STATUS: Dict[str, int] = {
     INTERNAL: 500,
 }
 
-# --------------------------------------------------------------- admin ops
+# --------------------------------------------------------------------- ops
+
+READ = "read"  # one ReadRequest against {"stack": s}
+PING = "ping"  # edge liveness plus per-shard health
+STATS = "stats"  # service-level stats from every shard
+CHAOS = "chaos"  # test hook: stage a shard crash or hang (enable_chaos only)
 
 ADMIN_STATUS = "admin.status"  # topology, generation, per-shard health
 ADMIN_SCALE = "admin.scale"  # reshape to {"shards": n}
 ADMIN_DRAIN_SHARD = "admin.drain_shard"  # drain + remove {"shard": i}
 ADMIN_RESTART = "admin.restart"  # rolling restart (or one {"shard": i})
 
-#: The closed control-plane op family.  Like :data:`ERROR_CODES`, this
-#: vocabulary only ever grows; every verb is expressible over NDJSON,
-#: binary frames (JSON body) and HTTP (``POST /v1/admin/<verb>``).
-ADMIN_OPS = frozenset({ADMIN_STATUS, ADMIN_SCALE, ADMIN_DRAIN_SHARD, ADMIN_RESTART})
-
-# -------------------------------------------------------------- stream ops
-
+# Subscribing turns server push on for the connection: event objects
+# (``{"event": ..., "seq": ..., ...}`` — note: no ``id`` field) are
+# interleaved with answers on the NDJSON wire and ride JSON-body frames
+# on the binary wire; the HTTP face streams the same events as SSE over
+# ``GET /v1/stream``.
 STREAM_SUBSCRIBE = "stream.subscribe"  # {"kinds": [...], "metrics": [...], "queue": n}
 STREAM_UNSUBSCRIBE = "stream.unsubscribe"  # {"subscription": id}
 
-#: The closed subscription op family.  Subscribing turns server push on
-#: for the connection: event objects (``{"event": ..., "seq": ..., ...}``
-#: — note: no ``id`` field) are interleaved with answers on the NDJSON
-#: wire and ride JSON-body frames on the binary wire; the HTTP face
-#: streams the same events as SSE over ``GET /v1/stream``.
-STREAM_OPS = frozenset({STREAM_SUBSCRIBE, STREAM_UNSUBSCRIBE})
-
-# ----------------------------------------------------------------- dtm ops
-
+# ``dtm.throttle`` and ``dtm.release`` are *idempotent by round*: the
+# server applies at most one decision per (stack, tier, round) and
+# answers duplicates with the standing scale (``applied: false``), so a
+# reconnecting controller may replay without double-throttling.
 DTM_STATUS = "dtm.status"  # policy, per-(stack, tier) scales, counters
 DTM_THROTTLE = "dtm.throttle"  # {"stack": s, "tier": t, "round": r, ...}
 DTM_RELEASE = "dtm.release"  # {"stack": s, "tier": t, "round": r, ...}
 DTM_DECISIONS = "dtm.decisions"  # {"since": seq} -> decision log tail
 DTM_RESET = "dtm.reset"  # drop all scales/decisions back to full power
 
-#: The closed thermal-management op family.  ``dtm.throttle`` and
-#: ``dtm.release`` are *idempotent by round*: the server applies at most
-#: one decision per (stack, tier, round) and answers duplicates with the
-#: standing scale (``applied: false``), so a reconnecting controller may
-#: replay without double-throttling.  Like the admin family, every verb
-#: rides NDJSON lines, binary frames (JSON body) and HTTP
-#: (``POST /v1/dtm/<verb>`` / ``GET /v1/dtm/status``).
-DTM_OPS = frozenset({DTM_STATUS, DTM_THROTTLE, DTM_RELEASE, DTM_DECISIONS, DTM_RESET})
+
+@dataclass(frozen=True)
+class OpSpec:
+    """How the edge answers one op, on every face.
+
+    ``token``: gated by the deployment's ``admin_token`` (a missing or
+    wrong token answers ``invalid``).  ``task``: runs as its own task
+    instead of inline in line order (reads, and reshapes that take
+    seconds).  ``http``: method of the op's route :func:`http_path`, or
+    ``None`` for the framed wires only; every route also answers
+    ``POST``, and a ``GET`` ignores any body.
+    """
+
+    token: bool = False
+    task: bool = False
+    http: Optional[str] = None
+
+
+#: The op vocabulary, the one place an op is added.  The edge's dispatch
+#: and HTTP routing, the ``*_OPS`` families below and the control
+#: clients' routes are all read off this table.
+OPS: Dict[str, OpSpec] = {
+    READ: OpSpec(task=True, http="POST"),
+    PING: OpSpec(),
+    STATS: OpSpec(),
+    CHAOS: OpSpec(),
+    ADMIN_STATUS: OpSpec(token=True, task=True, http="GET"),
+    ADMIN_SCALE: OpSpec(token=True, task=True, http="POST"),
+    ADMIN_DRAIN_SHARD: OpSpec(token=True, task=True, http="POST"),
+    ADMIN_RESTART: OpSpec(token=True, task=True, http="POST"),
+    STREAM_SUBSCRIBE: OpSpec(),
+    STREAM_UNSUBSCRIBE: OpSpec(),
+    DTM_STATUS: OpSpec(http="GET"),
+    DTM_THROTTLE: OpSpec(http="POST"),
+    DTM_RELEASE: OpSpec(http="POST"),
+    DTM_DECISIONS: OpSpec(http="POST"),
+    DTM_RESET: OpSpec(http="POST"),
+}
+
+
+def http_path(op: str) -> str:
+    """The HTTP route of ``op``: ``/v1/read``, ``/v1/admin/scale``, ..."""
+    return "/v1/" + op.replace(".", "/")
+
+
+#: The op families: shard topology control, subscriptions and thermal
+#: management.
+ADMIN_OPS, STREAM_OPS, DTM_OPS = (
+    frozenset(op for op in OPS if op.startswith(family))
+    for family in ("admin.", "stream.", "dtm.")
+)
 
 
 class EdgeError(RuntimeError):

@@ -14,10 +14,10 @@ byte of a connection decides:
   default: many exchanges per connection, pipelining honoured), a
   minimal adapter with routes ``POST /v1/read``, ``GET /healthz``
   (shard supervision state), ``GET /metrics`` (the process-wide
-  telemetry registry in Prometheus text format), plus the control
-  plane: ``GET /v1/admin/status`` and ``POST /v1/admin/<verb>``
-  (``scale``, ``drain_shard``, ``restart``), token-gated when the
-  deployment configures ``admin_token``.
+  telemetry registry in Prometheus text format), plus one route per
+  control op of :data:`~repro.edge.protocol.OPS`
+  (``/v1/admin/<verb>``, token-gated when the deployment configures
+  ``admin_token``, and ``/v1/dtm/<verb>``).
 
 Connections idle longer than ``idle_timeout_s`` are closed; the
 ``/healthz`` and ``/metrics`` bodies can be cached for
@@ -53,7 +53,6 @@ from repro.edge.deploy import EdgeDeployment
 from repro.edge.protocol import EdgeError
 from repro.edge.stream import StreamPlane, StreamPolicy, clamp_queue, format_sse
 from repro.edge.supervisor import ShardPool, ShardState
-from repro.edge.worker import WorkerConfig
 from repro.dtm.table import DtmTable
 from repro.network.dtm import DtmPolicy
 from repro.telemetry.rollup import ROLLUP_TIERS
@@ -205,23 +204,6 @@ class EdgeConfig:
         if self.stall_ms < 0.0:
             raise ValueError("stall_ms must be non-negative")
 
-    def worker_configs(self) -> Tuple[WorkerConfig, ...]:
-        """Deprecated: build configs through :class:`EdgeDeployment`.
-
-        The derivation moved to
-        :meth:`repro.edge.deploy.EdgeDeployment.worker_configs`; this
-        shim delegates and warns.
-        """
-        import warnings
-
-        warnings.warn(
-            "EdgeConfig.worker_configs() is deprecated; use "
-            "EdgeDeployment.from_edge_config(config).worker_configs()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return EdgeDeployment.from_edge_config(self).worker_configs()
-
 
 def metrics_text(
     registry=None,
@@ -263,6 +245,52 @@ def metrics_text(
     return "\n".join(lines) + "\n"
 
 
+#: The ``unknown_op`` hint: the framed data ops, then the op families
+#: (``chaos`` is a test hook and is not advertised).
+_KNOWN_OPS = ", ".join(
+    [op for op in protocol.OPS if "." not in op and op != protocol.CHAOS]
+    + sorted(op for op in protocol.OPS if "." in op)
+)
+
+#: HTTP route -> op, for every op that has a route.
+_HTTP_ROUTES = {
+    protocol.http_path(op): op for op, spec in protocol.OPS.items() if spec.http
+}
+
+
+def _route_hint() -> str:
+    """Every HTTP route, as the no-route answer lists them: ``read``'s,
+    the status routes, then each family's ``GET`` routes and one entry
+    for its ``POST`` verbs."""
+    routes = [
+        f"POST /v1/{op.rpartition('.')[0]}/<verb>"
+        if "." in op and spec.http == "POST"
+        else f"{spec.http} {protocol.http_path(op)}"
+        for op, spec in protocol.OPS.items()
+        if spec.http
+    ]
+    routes[1:1] = ["GET /healthz", "GET /metrics", "GET /v1/stream", "GET /v1/rollup"]
+    return ", ".join(dict.fromkeys(routes))
+
+
+_ROUTE_HINT = _route_hint()
+
+
+def _http_status(answer: Mapping[str, Any]) -> int:
+    if answer.get("ok"):
+        return 200
+    return protocol.HTTP_STATUS.get(answer["error"]["code"], 500)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+async def _offload(fn: Callable, *args: Any) -> Any:
+    """Run a blocking pool call in the executor, off the event loop."""
+    return await asyncio.get_running_loop().run_in_executor(None, fn, *args)
+
+
 class EdgeServer:
     """The asyncio TCP/HTTP edge over a supervised shard pool."""
 
@@ -287,6 +315,13 @@ class EdgeServer:
             self.autoscaler = Autoscaler(self.pool, config.autoscale)
         self.plane = StreamPlane(config.stream)
         self.dtm = DtmTable(config.dtm, deadline_ms=config.dtm_deadline_ms)
+        # The ops this edge answers: the protocol table, less the chaos
+        # hook unless the deployment enables it.
+        self._ops = {
+            op: spec
+            for op, spec in protocol.OPS.items()
+            if op != protocol.CHAOS or config.enable_chaos
+        }
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self._closing = False
@@ -593,185 +628,57 @@ class EdgeServer:
     ) -> None:
         """Route one decoded operation; answers with ``encode``'s format."""
         request_id = payload.get("id")
-        op = payload.get("op", "read")
-        if op == "read":
-            task = asyncio.ensure_future(
-                self._answer_read(
-                    payload, request_id, writer, write_lock, encode, decode_s
-                )
+        op = payload.get("op", protocol.READ)
+        spec = self._ops.get(op) if isinstance(op, str) else None
+        if spec is None:
+            _ERRORS.inc()
+            error = EdgeError(
+                protocol.UNKNOWN_OP, f"unknown op {op!r}; known: {_KNOWN_OPS}"
             )
-            inflight.add(task)
-            task.add_done_callback(inflight.discard)
-            return
-        if op == "ping":
             await self._send(
-                writer,
-                write_lock,
-                {
-                    "id": request_id,
-                    "ok": True,
-                    "pong": "edge",
-                    "draining": self._closing,
-                    "shards": self.pool.health(),
-                },
-                encode,
+                writer, write_lock, protocol.error_payload(request_id, error), encode
             )
-            return
-        if op == "stats":
-            loop = asyncio.get_running_loop()
-            stats = await loop.run_in_executor(None, self.pool.shard_stats)
-            await self._send(
-                writer,
-                write_lock,
-                {"id": request_id, "ok": True, "shards": stats},
-                encode,
-            )
-            return
-        if op in protocol.ADMIN_OPS:
-            # Reshapes drain shards and spawn processes — seconds, not
-            # microseconds; they run off the connection loop so data ops
-            # keep flowing on this and every other connection.
-            task = asyncio.ensure_future(
-                self._answer_admin(payload, request_id, writer, write_lock, encode)
-            )
-            inflight.add(task)
-            task.add_done_callback(inflight.discard)
             return
         if op in protocol.STREAM_OPS:
             await self._answer_stream(
                 payload, request_id, writer, write_lock, pushers, encode
             )
             return
-        if op in protocol.DTM_OPS:
-            # Pure in-memory table ops — microseconds, answered inline.
-            await self._send(
-                writer, write_lock, self._dtm_execute(payload, request_id), encode
+        if op == protocol.READ:
+            work = self._answer_read(
+                payload, request_id, writer, write_lock, encode, decode_s
             )
+        else:
+            work = self._answer_op(op, payload, request_id, writer, write_lock, encode)
+        if not spec.task:
+            await work
             return
-        if op == "chaos" and self.config.enable_chaos:
-            try:
-                self.pool.chaos(int(payload.get("shard", 0)), payload.get("kind", "exit"))
-                await self._send(
-                    writer, write_lock, {"id": request_id, "ok": True}, encode
-                )
-            except (EdgeError, ValueError, KeyError) as error:
-                await self._send(
-                    writer,
-                    write_lock,
-                    protocol.error_payload(
-                        request_id, EdgeError(protocol.INTERNAL, str(error))
-                    ),
-                    encode,
-                )
-            return
-        _ERRORS.inc()
+        task = asyncio.ensure_future(work)
+        inflight.add(task)
+        task.add_done_callback(inflight.discard)
+
+    async def _answer_op(self, op, payload, request_id, writer, write_lock, encode):
         await self._send(
-            writer,
-            write_lock,
-            protocol.error_payload(
-                request_id,
-                EdgeError(
-                    protocol.UNKNOWN_OP,
-                    f"unknown op {op!r}; known: read, ping, stats, "
-                    + ", ".join(
-                        sorted(
-                            protocol.ADMIN_OPS
-                            | protocol.STREAM_OPS
-                            | protocol.DTM_OPS
-                        )
-                    ),
-                ),
-            ),
-            encode,
+            writer, write_lock, await self._execute(op, payload, request_id), encode
         )
 
-    # ------------------------------------------------------------ admin plane
+    async def _execute(self, op: str, payload, request_id) -> Dict[str, Any]:
+        """Run one control op; returns the (typed) answer payload.
 
-    async def _answer_admin(
-        self, payload, request_id, writer, write_lock, encode
-    ) -> None:
-        answer = await self._admin_execute(payload, request_id)
-        await self._send(writer, write_lock, answer, encode)
-
-    async def _admin_execute(self, payload, request_id) -> Dict[str, Any]:
-        """Run one ``admin.*`` op; returns the (typed) answer payload.
-
-        Wire-agnostic: the NDJSON/binary dispatcher and the HTTP adapter
-        both funnel here, so every verb behaves identically on every
-        wire.  Token failures answer ``invalid`` (the vocabulary stays
-        closed) and are terminal, not retryable.
+        Wire-agnostic: the framed dispatcher and the HTTP adapter both
+        funnel here, so every op behaves identically on every wire.  A
+        token failure on a gated op answers ``invalid`` (the vocabulary
+        stays closed), as does a ``ValueError`` from the handler.
         """
-        op = payload.get("op")
         token = self.config.admin_token
-        if token is not None and payload.get("token") != token:
-            _ERRORS.inc()
-            return protocol.error_payload(
-                request_id,
-                EdgeError(
+        gated = protocol.OPS[op].token and token is not None
+        try:
+            if gated and payload.get("token") != token:
+                raise EdgeError(
                     protocol.INVALID,
                     "admin ops need a valid 'token' on this deployment",
-                    retryable=False,
-                ),
-            )
-        loop = asyncio.get_running_loop()
-        try:
-            if op == protocol.ADMIN_STATUS:
-                return {"id": request_id, "ok": True, "status": self._admin_status()}
-            if op == protocol.ADMIN_SCALE:
-                shards = payload.get("shards")
-                if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-                    raise EdgeError(
-                        protocol.INVALID,
-                        "admin.scale needs a positive integer 'shards'",
-                    )
-                indices = await loop.run_in_executor(
-                    None, lambda: self.pool.scale_to(shards)
                 )
-                return {
-                    "id": request_id,
-                    "ok": True,
-                    "shards": indices,
-                    "generation": self.pool.generation,
-                }
-            if op == protocol.ADMIN_DRAIN_SHARD:
-                shard = payload.get("shard")
-                if not isinstance(shard, int) or isinstance(shard, bool):
-                    raise EdgeError(
-                        protocol.INVALID,
-                        "admin.drain_shard needs an integer 'shard'",
-                    )
-                await loop.run_in_executor(
-                    None, lambda: self.pool.remove_shard(shard)
-                )
-                return {
-                    "id": request_id,
-                    "ok": True,
-                    "shards": self.pool.shard_indices,
-                    "generation": self.pool.generation,
-                }
-            if op == protocol.ADMIN_RESTART:
-                shard = payload.get("shard")
-                if shard is None:
-                    restarted = await loop.run_in_executor(
-                        None, self.pool.rolling_restart
-                    )
-                elif isinstance(shard, int) and not isinstance(shard, bool):
-                    await loop.run_in_executor(
-                        None, lambda: self.pool.restart_shard(shard)
-                    )
-                    restarted = [shard]
-                else:
-                    raise EdgeError(
-                        protocol.INVALID,
-                        "admin.restart 'shard' must be an integer when present",
-                    )
-                return {
-                    "id": request_id,
-                    "ok": True,
-                    "restarted": restarted,
-                    "generation": self.pool.generation,
-                }
-            raise EdgeError(protocol.UNKNOWN_OP, f"unknown admin op {op!r}")
+            fields = await getattr(self, "_op_" + op.replace(".", "_"))(payload)
         except EdgeError as error:
             _ERRORS.inc()
             return protocol.error_payload(request_id, error)
@@ -780,8 +687,30 @@ class EdgeServer:
             return protocol.error_payload(
                 request_id, EdgeError(protocol.INVALID, str(error))
             )
+        return {"id": request_id, "ok": True, **fields}
 
-    def _admin_status(self) -> Dict[str, Any]:
+    # -------------------------------------------------------------- handlers
+    #
+    # One handler per op of protocol.OPS that runs through _execute,
+    # named after the op (``admin.scale`` -> ``_op_admin_scale``).  Each
+    # returns the answer's fields, or raises EdgeError / ValueError.
+    # Blocking pool calls (reshapes drain shards and spawn processes)
+    # run in the executor.
+
+    async def _op_ping(self, payload) -> Dict[str, Any]:
+        return {"pong": "edge", "draining": self._closing, "shards": self.pool.health()}
+
+    async def _op_stats(self, payload) -> Dict[str, Any]:
+        return {"shards": await _offload(self.pool.shard_stats)}
+
+    async def _op_chaos(self, payload) -> Dict[str, Any]:
+        try:
+            self.pool.chaos(int(payload.get("shard", 0)), payload.get("kind", "exit"))
+        except (EdgeError, ValueError, KeyError, TypeError) as error:
+            raise EdgeError(protocol.INTERNAL, str(error)) from error
+        return {}
+
+    async def _op_admin_status(self, payload) -> Dict[str, Any]:
         status = self.pool.status()
         status["draining"] = self._closing
         status["autoscaler"] = (
@@ -789,78 +718,81 @@ class EdgeServer:
         )
         status["stream"] = self.plane.status()
         status["dtm"] = self.dtm.status()
-        return status
+        return {"status": status}
 
-    # -------------------------------------------------------------- dtm plane
-
-    def _dtm_execute(self, payload, request_id) -> Dict[str, Any]:
-        """Run one ``dtm.*`` op; returns the (typed) answer payload.
-
-        Wire-agnostic like :meth:`_admin_execute`: the NDJSON/binary
-        dispatcher and the HTTP adapter both funnel here.  Decision verbs
-        are idempotent by round (see :class:`~repro.dtm.table.DtmTable`),
-        so at-least-once delivery is safe on every wire.
-        """
-        op = payload.get("op")
-        try:
-            if op == protocol.DTM_STATUS:
-                return {"id": request_id, "ok": True, "status": self.dtm.status()}
-            if op in (protocol.DTM_THROTTLE, protocol.DTM_RELEASE):
-                stack = payload.get("stack")
-                tier = payload.get("tier")
-                round_index = payload.get("round")
-                for name, value in (("stack", stack), ("tier", tier), ("round", round_index)):
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        raise EdgeError(
-                            protocol.INVALID,
-                            f"{op} needs an integer '{name}'",
-                        )
-                latency_ms = payload.get("latency_ms")
-                if latency_ms is not None and (
-                    not isinstance(latency_ms, (int, float))
-                    or isinstance(latency_ms, bool)
-                    or latency_ms < 0
-                ):
-                    raise EdgeError(
-                        protocol.INVALID,
-                        "latency_ms must be a non-negative number when present",
-                    )
-                action = op.split(".", 1)[1]
-                decision = self.dtm.apply(
-                    stack,
-                    tier,
-                    round_index,
-                    action,
-                    latency_ms=None if latency_ms is None else float(latency_ms),
-                )
-                return {
-                    "id": request_id,
-                    "ok": True,
-                    "decision": decision.to_record(),
-                }
-            if op == protocol.DTM_DECISIONS:
-                since = payload.get("since", 0)
-                if not isinstance(since, int) or isinstance(since, bool) or since < 0:
-                    raise EdgeError(
-                        protocol.INVALID,
-                        "dtm.decisions 'since' must be a non-negative integer",
-                    )
-                return {
-                    "id": request_id,
-                    "ok": True,
-                    "decisions": self.dtm.decisions_since(since),
-                }
-            if op == protocol.DTM_RESET:
-                return {"id": request_id, "ok": True, "seq": self.dtm.reset()}
-            raise EdgeError(protocol.UNKNOWN_OP, f"unknown dtm op {op!r}")
-        except EdgeError as error:
-            _ERRORS.inc()
-            return protocol.error_payload(request_id, error)
-        except ValueError as error:
-            _ERRORS.inc()
-            return protocol.error_payload(
-                request_id, EdgeError(protocol.INVALID, str(error))
+    async def _op_admin_scale(self, payload) -> Dict[str, Any]:
+        shards = payload.get("shards")
+        if not _is_int(shards) or shards < 1:
+            raise EdgeError(
+                protocol.INVALID, "admin.scale needs a positive integer 'shards'"
             )
+        indices = await _offload(self.pool.scale_to, shards)
+        return {"shards": indices, "generation": self.pool.generation}
+
+    async def _op_admin_drain_shard(self, payload) -> Dict[str, Any]:
+        shard = payload.get("shard")
+        if not _is_int(shard):
+            raise EdgeError(
+                protocol.INVALID, "admin.drain_shard needs an integer 'shard'"
+            )
+        await _offload(self.pool.remove_shard, shard)
+        return {"shards": self.pool.shard_indices, "generation": self.pool.generation}
+
+    async def _op_admin_restart(self, payload) -> Dict[str, Any]:
+        shard = payload.get("shard")
+        if shard is None:
+            restarted = await _offload(self.pool.rolling_restart)
+        elif _is_int(shard):
+            await _offload(self.pool.restart_shard, shard)
+            restarted = [shard]
+        else:
+            raise EdgeError(
+                protocol.INVALID,
+                "admin.restart 'shard' must be an integer when present",
+            )
+        return {"restarted": restarted, "generation": self.pool.generation}
+
+    async def _op_dtm_status(self, payload) -> Dict[str, Any]:
+        return {"status": self.dtm.status()}
+
+    async def _op_dtm_throttle(self, payload) -> Dict[str, Any]:
+        """``dtm.throttle`` and ``dtm.release``: idempotent by round."""
+        op = payload["op"]
+        for name in ("stack", "tier", "round"):
+            if not _is_int(payload.get(name)):
+                raise EdgeError(protocol.INVALID, f"{op} needs an integer '{name}'")
+        latency_ms = payload.get("latency_ms")
+        if latency_ms is not None and (
+            not isinstance(latency_ms, (int, float))
+            or isinstance(latency_ms, bool)
+            or latency_ms < 0
+        ):
+            raise EdgeError(
+                protocol.INVALID,
+                "latency_ms must be a non-negative number when present",
+            )
+        decision = self.dtm.apply(
+            payload["stack"],
+            payload["tier"],
+            payload["round"],
+            op.split(".", 1)[1],
+            latency_ms=None if latency_ms is None else float(latency_ms),
+        )
+        return {"decision": decision.to_record()}
+
+    _op_dtm_release = _op_dtm_throttle
+
+    async def _op_dtm_decisions(self, payload) -> Dict[str, Any]:
+        since = payload.get("since", 0)
+        if not _is_int(since) or since < 0:
+            raise EdgeError(
+                protocol.INVALID,
+                "dtm.decisions 'since' must be a non-negative integer",
+            )
+        return {"decisions": self.dtm.decisions_since(since)}
+
+    async def _op_dtm_reset(self, payload) -> Dict[str, Any]:
+        return {"seq": self.dtm.reset()}
 
     # ----------------------------------------------------------- stream plane
 
@@ -1148,71 +1080,32 @@ class EdgeServer:
         keep_alive: bool,
         headers: Optional[Mapping[str, str]] = None,
     ) -> None:
-        if target == "/v1/admin/status" and method == "GET":
-            await self._http_admin(
-                writer, protocol.ADMIN_STATUS, b"", keep_alive, headers
-            )
-            return
-        if target.startswith("/v1/admin/") and method == "POST":
-            op = "admin." + target[len("/v1/admin/") :]
-            if op not in protocol.ADMIN_OPS:
-                _ERRORS.inc()
-                await self._http_error(
-                    writer,
-                    EdgeError(
-                        protocol.UNKNOWN_OP,
-                        f"no admin route {target}; verbs: "
-                        + ", ".join(
-                            sorted(o.split(".", 1)[1] for o in protocol.ADMIN_OPS)
-                        ),
-                    ),
-                    keep_alive,
-                )
-                return
-            await self._http_admin(writer, op, body, keep_alive, headers)
-            return
-        if target == "/v1/dtm/status" and method == "GET":
-            await self._http_dtm(writer, protocol.DTM_STATUS, b"", keep_alive)
-            return
-        if target.startswith("/v1/dtm/") and method == "POST":
-            op = "dtm." + target[len("/v1/dtm/") :]
-            if op not in protocol.DTM_OPS:
-                _ERRORS.inc()
-                await self._http_error(
-                    writer,
-                    EdgeError(
-                        protocol.UNKNOWN_OP,
-                        f"no dtm route {target}; verbs: "
-                        + ", ".join(
-                            sorted(o.split(".", 1)[1] for o in protocol.DTM_OPS)
-                        ),
-                    ),
-                    keep_alive,
-                )
-                return
-            await self._http_dtm(writer, op, body, keep_alive)
-            return
-        if method == "POST" and target == "/v1/read":
-            started = time.perf_counter()
-            try:
-                payload = protocol.decode_line(body)
-            except EdgeError as error:
-                _ERRORS.inc()
-                await self._http_error(writer, error, keep_alive)
-                return
-            decode_s = time.perf_counter() - started
-            answer = await self._route_read(payload, payload.get("id"))
-            started = time.perf_counter()
-            blob = json.dumps(answer, separators=(",", ":")).encode("utf-8")
-            _CPU_US.observe((decode_s + time.perf_counter() - started) * 1e6)
-            if answer.get("ok"):
-                status = 200
+        op = _HTTP_ROUTES.get(target)
+        if op is not None and method in (protocol.OPS[op].http, "POST"):
+            if op == protocol.READ:
+                await self._http_read(writer, body, keep_alive)
             else:
-                status = protocol.HTTP_STATUS.get(answer["error"]["code"], 500)
-            await self._http_write(
-                writer, status, "application/json", blob, keep_alive
-            )
+                await self._http_op(
+                    writer, op, body if method == "POST" else b"", keep_alive, headers
+                )
             return
+        if method == "POST" and target.startswith("/v1/"):
+            family = target.split("/")[2]
+            verbs = sorted(
+                name.partition(".")[2] for name in _HTTP_ROUTES.values()
+                if name.startswith(family + ".")
+            )
+            if verbs and target.startswith(f"/v1/{family}/"):
+                _ERRORS.inc()
+                await self._http_error(
+                    writer,
+                    EdgeError(
+                        protocol.UNKNOWN_OP,
+                        f"no {family} route {target}; verbs: {', '.join(verbs)}",
+                    ),
+                    keep_alive,
+                )
+                return
         if method == "GET" and target in ("/healthz", "/metrics"):
             status, content_type, blob = self._status_body(target)
             await self._http_write(writer, status, content_type, blob, keep_alive)
@@ -1230,17 +1123,29 @@ class EdgeServer:
         await self._http_error(
             writer,
             EdgeError(
-                protocol.UNKNOWN_OP,
-                f"no route {method} {target}; try POST /v1/read, "
-                "GET /healthz, GET /metrics, GET /v1/stream, "
-                "GET /v1/rollup, GET /v1/admin/status, "
-                "POST /v1/admin/<verb>, GET /v1/dtm/status, "
-                "POST /v1/dtm/<verb>",
+                protocol.UNKNOWN_OP, f"no route {method} {target}; try {_ROUTE_HINT}"
             ),
             keep_alive,
         )
 
-    async def _http_admin(
+    async def _http_read(self, writer, body: bytes, keep_alive: bool) -> None:
+        started = time.perf_counter()
+        try:
+            payload = protocol.decode_line(body)
+        except EdgeError as error:
+            _ERRORS.inc()
+            await self._http_error(writer, error, keep_alive)
+            return
+        decode_s = time.perf_counter() - started
+        answer = await self._route_read(payload, payload.get("id"))
+        started = time.perf_counter()
+        blob = json.dumps(answer, separators=(",", ":")).encode("utf-8")
+        _CPU_US.observe((decode_s + time.perf_counter() - started) * 1e6)
+        await self._http_write(
+            writer, _http_status(answer), "application/json", blob, keep_alive
+        )
+
+    async def _http_op(
         self,
         writer,
         op: str,
@@ -1248,7 +1153,7 @@ class EdgeServer:
         keep_alive: bool,
         headers: Optional[Mapping[str, str]] = None,
     ) -> None:
-        """The HTTP face of the admin plane: same executor, typed answers.
+        """The HTTP face of a control op: same funnel, typed answers.
 
         The token travels as an ``X-Admin-Token`` header (or a ``token``
         field in the JSON body); the answer is the wire payload of the
@@ -1267,32 +1172,8 @@ class EdgeServer:
         header_token = (headers or {}).get("x-admin-token")
         if header_token is not None and "token" not in payload:
             payload["token"] = header_token
-        answer = await self._admin_execute(payload, payload.get("id"))
-        if answer.get("ok"):
-            status = 200
-        else:
-            status = protocol.HTTP_STATUS.get(answer["error"]["code"], 500)
-        await self._http_respond(writer, status, answer, keep_alive)
-
-    async def _http_dtm(
-        self, writer, op: str, body: bytes, keep_alive: bool
-    ) -> None:
-        """The HTTP face of the dtm plane: same funnel, typed answers."""
-        payload: Dict[str, Any] = {}
-        if body.strip():
-            try:
-                payload = protocol.decode_line(body)
-            except EdgeError as error:
-                _ERRORS.inc()
-                await self._http_error(writer, error, keep_alive)
-                return
-        payload["op"] = op
-        answer = self._dtm_execute(payload, payload.get("id"))
-        if answer.get("ok"):
-            status = 200
-        else:
-            status = protocol.HTTP_STATUS.get(answer["error"]["code"], 500)
-        await self._http_respond(writer, status, answer, keep_alive)
+        answer = await self._execute(op, payload, payload.get("id"))
+        await self._http_respond(writer, _http_status(answer), answer, keep_alive)
 
     async def _http_stream(
         self,

@@ -41,7 +41,7 @@ from repro.serve.admission import (
     ServiceClosedError,
 )
 from repro.serve.scheduler import BatchPolicy
-from repro.serve.service import SensorReadService, ServeConfig
+from repro.serve.service import SensorReadService
 
 
 @dataclass(frozen=True)
@@ -77,26 +77,6 @@ class WorkerConfig:
     fault_plan: Optional[object] = None  # FaultPlan; object keeps pickling lazy
     access_log: Optional[str] = None
     enable_chaos: bool = False
-
-    def serve_config(self) -> ServeConfig:
-        """Deprecated: use :func:`repro.edge.deploy.serve_config_for`.
-
-        The derivation moved into :mod:`repro.edge.deploy` so every
-        config layer derives from one :class:`EdgeDeployment` source of
-        truth; this shim delegates and warns.
-        """
-        import warnings
-
-        warnings.warn(
-            "WorkerConfig.serve_config() is deprecated; use "
-            "repro.edge.deploy.serve_config_for(config) or build configs "
-            "through EdgeDeployment",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.edge.deploy import serve_config_for
-
-        return serve_config_for(self)
 
 
 def _stats_payload(service: SensorReadService, config: WorkerConfig) -> Dict[str, Any]:

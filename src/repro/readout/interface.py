@@ -18,7 +18,6 @@ Frame layout, MSB first (40 bits):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 FRAME_BITS = 40
@@ -32,16 +31,6 @@ VT_CODE_LSB_V = 1e-4
 TEMP_CODE_OFFSET_C = 40.0
 
 
-def _warn_renamed(old: str, new: str) -> None:
-    warnings.warn(
-        f"SensorFrame.{old} is deprecated; use SensorFrame.{new} "
-        "(one naming scheme for threshold shifts across the stack, "
-        "matching SensorReading.dvtn/dvtp)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(frozen=True, init=False)
 class SensorFrame:
     """One decoded sensor frame.
@@ -53,12 +42,8 @@ class SensorFrame:
         temperature_c: Temperature reading in Celsius.
         valid: Whether the sensor marked the conversion valid.
 
-    The threshold-shift fields were named ``vtn_shift``/``vtp_shift``
-    before the stack converged on the ``dvtn``/``dvtp`` scheme used by
-    :class:`repro.core.sensor.SensorReading` and
-    :class:`repro.circuits.ring_oscillator.Environment`; the old names
-    still work — as constructor keywords and read-only properties — but
-    emit :class:`DeprecationWarning`.
+    The threshold shifts and the temperature are stored as ``float``
+    whatever numeric type the caller passes.
     """
 
     die_id: int
@@ -70,43 +55,16 @@ class SensorFrame:
     def __init__(
         self,
         die_id: int,
-        dvtn: float = None,
-        dvtp: float = None,
+        dvtn: float,
+        dvtp: float,
         temperature_c: float = 0.0,
         valid: bool = True,
-        *,
-        vtn_shift: float = None,
-        vtp_shift: float = None,
     ) -> None:
-        if vtn_shift is not None:
-            if dvtn is not None:
-                raise TypeError("pass dvtn or vtn_shift, not both")
-            _warn_renamed("vtn_shift", "dvtn")
-            dvtn = vtn_shift
-        if vtp_shift is not None:
-            if dvtp is not None:
-                raise TypeError("pass dvtp or vtp_shift, not both")
-            _warn_renamed("vtp_shift", "dvtp")
-            dvtp = vtp_shift
-        if dvtn is None or dvtp is None:
-            raise TypeError("SensorFrame requires dvtn and dvtp")
         object.__setattr__(self, "die_id", die_id)
         object.__setattr__(self, "dvtn", float(dvtn))
         object.__setattr__(self, "dvtp", float(dvtp))
         object.__setattr__(self, "temperature_c", float(temperature_c))
         object.__setattr__(self, "valid", valid)
-
-    @property
-    def vtn_shift(self) -> float:
-        """Deprecated alias of :attr:`dvtn`."""
-        _warn_renamed("vtn_shift", "dvtn")
-        return self.dvtn
-
-    @property
-    def vtp_shift(self) -> float:
-        """Deprecated alias of :attr:`dvtp`."""
-        _warn_renamed("vtp_shift", "dvtp")
-        return self.dvtp
 
 
 class FrameError(ValueError):

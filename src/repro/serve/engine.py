@@ -32,7 +32,8 @@ import numpy as np
 
 from repro import telemetry
 from repro.telemetry.stream import HUB as _STREAM_HUB
-from repro.batch.paired import read_paired
+from repro.batch.paired import PairedReadings, read_paired
+from repro.core.errors import SensorError
 from repro.core.sensor import PTSensor
 from repro.faults.runtime import active_injector
 from repro.serve.admission import AdmissionController
@@ -71,7 +72,9 @@ _DEGRADED = telemetry.counter(
 class _Job:
     """One unit conversion a request expands into."""
 
-    __slots__ = ("request_index", "tier", "temp_c", "vdd", "cache_key", "reading")
+    __slots__ = (
+        "request_index", "tier", "temp_c", "vdd", "cache_key", "reading", "error"
+    )
 
     def __init__(self, request_index: int, tier: int, temp_c: float, vdd: float):
         self.request_index = request_index
@@ -80,6 +83,7 @@ class _Job:
         self.vdd = vdd
         self.cache_key: Optional[Tuple] = None
         self.reading: Optional[TierReading] = None
+        self.error: Optional[str] = None  # the kernel refused this conversion
 
 
 class ReadEngine:
@@ -153,8 +157,10 @@ class ReadEngine:
 
         Returns:
             One :class:`ReadResult` per request, aligned with the input.
-            Malformed requests (unknown tier) come back as ``ERROR``
-            results; the batch's healthy requests are still served.
+            Malformed requests (unknown tier) and requests the kernel
+            cannot convert (a temperature outside the sensor's range)
+            come back as ``ERROR`` results; the batch's healthy requests
+            are still served.
         """
         batch_size = len(requests)
         with telemetry.span("serve.batch", requests=batch_size) as trace:
@@ -290,14 +296,8 @@ class ReadEngine:
                     )
                 )
 
-        for segment_jobs, segment_temps, segment_vdds, assume_vdd in segments:
-            readings = read_paired(
-                [self.sensors[job.tier] for job in segment_jobs],
-                segment_temps,
-                segment_vdds,
-                deterministic=self.deterministic,
-                assume_vdd=assume_vdd,
-            )
+        converted = [pair for segment in segments for pair in self._convert(*segment)]
+        for segment_jobs, readings in converted:
             energy_total = readings.energy.total
             for i, job in enumerate(segment_jobs):
                 converged = bool(readings.converged[i])
@@ -322,6 +322,44 @@ class ReadEngine:
                 if job.cache_key is not None and reading.quality == "ok":
                     self.cache.put(job.cache_key, reading, now)
 
+    def _convert(
+        self, jobs: List[_Job], temps_k, vdds, assume_vdd
+    ) -> List[Tuple[List[_Job], PairedReadings]]:
+        """``read_paired`` over ``jobs`` -> ``[(jobs, readings), ...]``.
+
+        One kernel call when every lane converts.  When the kernel
+        refuses the batch (a lane outside the sensor's range), the batch
+        is halved until each refused lane stands alone; that lane keeps
+        the error in ``job.error`` and fails only its own request.
+        Noisy conversions draw their counter phases before the kernel
+        can refuse, so the sensors' streams are rewound before the
+        halves retry: draws stay in the order of a sequential loop.
+        """
+        sensors = [self.sensors[job.tier] for job in jobs]
+        streams = (
+            [] if self.deterministic
+            else [(sensor, sensor._rng.bit_generator.state) for sensor in sensors]
+        )
+        try:
+            readings = read_paired(
+                sensors,
+                temps_k,
+                vdds,
+                deterministic=self.deterministic,
+                assume_vdd=assume_vdd,
+            )
+        except (SensorError, ValueError) as error:
+            for sensor, state in streams:
+                sensor._rng.bit_generator.state = state
+            if len(jobs) == 1:
+                jobs[0].error = f"{type(error).__name__}: {error}"
+                return []
+            half = len(jobs) // 2
+            return self._convert(
+                jobs[:half], temps_k[:half], vdds[:half], assume_vdd
+            ) + self._convert(jobs[half:], temps_k[half:], vdds[half:], assume_vdd)
+        return [(jobs, readings)]
+
     def _assemble(
         self,
         requests: Sequence[ReadRequest],
@@ -330,14 +368,24 @@ class ReadEngine:
         batch_size: int,
     ) -> None:
         """Fold per-job readings back into per-request results."""
-        per_request: Dict[int, List[TierReading]] = {}
+        per_request: Dict[int, List[_Job]] = {}
         for job in jobs:
-            per_request.setdefault(job.request_index, []).append(job.reading)
+            per_request.setdefault(job.request_index, []).append(job)
         degraded_requests = 0
         for index, request in enumerate(requests):
             if results[index] is not None:
                 continue
-            readings = tuple(per_request.get(index, []))
+            request_jobs = per_request.get(index, [])
+            error = next((job.error for job in request_jobs if job.error), None)
+            if error is not None:
+                results[index] = ReadResult(
+                    request=request,
+                    status=ResultStatus.ERROR,
+                    batch_size=batch_size,
+                    error=error,
+                )
+                continue
+            readings = tuple(job.reading for job in request_jobs)
             cache_hits = sum(1 for r in readings if r.cache_hit)
             degraded = any(r.quality != "ok" for r in readings)
             if degraded:

@@ -23,6 +23,7 @@ Four request kinds cover the paper's polling patterns:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
@@ -57,6 +58,9 @@ class ReadRequest:
         deadline_s: Absolute service-clock deadline.  A request still
             queued past its deadline is *shed* (admission control), never
             evaluated.
+
+    Temperatures and supplies must be finite; a NaN or infinity raises
+    ``ValueError`` here, before the request can reach a batch.
     """
 
     kind: RequestKind
@@ -76,8 +80,14 @@ class ReadRequest:
             raise ValueError("tiers is a TIER_SCAN field")
         if self.kind is not RequestKind.STACK_POLL and self.temps_c is not None:
             raise ValueError("temps_c is a STACK_POLL field")
+        for name in ("temp_c", "vdd", "assume_vdd"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.temps_c is not None:
             object.__setattr__(self, "temps_c", dict(self.temps_c))
+            if not all(math.isfinite(c) for c in self.temps_c.values()):
+                raise ValueError("temps_c entries must be finite")
         if self.tiers is not None:
             object.__setattr__(self, "tiers", tuple(self.tiers))
 

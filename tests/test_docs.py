@@ -11,6 +11,10 @@ Two guarantees, both cheap enough to gate every CI run:
   superseded. ``ROADMAP.md`` and ``CHANGES.md`` are outside this grep:
   they name the shims to plan and record their removal.
 
+The op tables in ``docs/edge.md`` and ``docs/dtm.md`` follow
+``repro.edge.protocol.OPS``: every HTTP-routed op appears with its
+route, and every ``admin.*`` / ``dtm.*`` op a table names exists.
+
 The metric-catalogue drift gate lives in ``tests/test_stream.py``
 alongside the generator it checks.
 """
@@ -124,3 +128,23 @@ def test_every_docs_page_is_reachable_from_the_index():
         if page.name != "index.md" and page.name not in linked
     ]
     assert not missing, f"docs/index.md never links: {missing}"
+
+
+#: The pages whose tables document the op vocabulary.
+_OP_DOCS = (REPO / "docs" / "edge.md", REPO / "docs" / "dtm.md")
+_OP_ROW = re.compile(r"^\|\s*`((?:admin|dtm)\.\w+)`", re.MULTILINE)
+
+
+def test_op_tables_follow_the_protocol_op_table():
+    from repro.edge import protocol
+
+    text = "\n".join(doc.read_text(encoding="utf-8") for doc in _OP_DOCS)
+    routes = [
+        f"{spec.http} {protocol.http_path(op)}"
+        for op, spec in protocol.OPS.items()
+        if spec.http
+    ]
+    assert [route for route in routes if route not in text] == []
+    named = set(_OP_ROW.findall(text))
+    assert named, "no admin.* / dtm.* op table rows found"
+    assert sorted(named - set(protocol.OPS)) == []

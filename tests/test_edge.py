@@ -267,6 +267,55 @@ class TestEdgeErrorPaths:
         assert answer["error"]["code"] == protocol.UNKNOWN_OP
         assert answer["error"]["retryable"] is False
 
+    @pytest.mark.parametrize("op", [[1], {"a": 1}], ids=["list", "object"])
+    def test_unhashable_op_is_typed_and_connection_survives(self, edge, op):
+        sock, reader = _raw_connection(edge)
+        try:
+            sock.sendall(protocol.encode({"id": "bad", "op": op}))
+            answer = json.loads(reader.readline())
+            assert answer["id"] == "bad" and answer["ok"] is False
+            assert answer["error"]["code"] == protocol.UNKNOWN_OP
+            assert answer["error"]["retryable"] is False
+            sock.sendall(protocol.encode({"id": "after", "op": "ping"}))
+            answer = json.loads(reader.readline())
+            assert answer["id"] == "after" and answer["ok"] is True
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("bad_c", [200.0, float("nan")], ids=["200C", "nan"])
+    def test_one_bad_read_fails_alone_in_a_pipelined_batch(self, edge, bad_c):
+        temps = [40.0 + i for i in range(9)] + [bad_c]
+        sock, reader = _raw_connection(edge)
+        try:
+            sock.sendall(
+                b"".join(
+                    protocol.encode({
+                        "id": f"r{i}",
+                        "op": "read",
+                        "stack": 4242,
+                        "request": {"kind": "point_read", "tier": 1, "temp_c": t},
+                    })
+                    for i, t in enumerate(temps)
+                )
+            )
+            answers = {}
+            for _ in temps:
+                answer = json.loads(reader.readline())
+                answers[answer["id"]] = answer
+        finally:
+            sock.close()
+        for i in range(9):
+            assert answers[f"r{i}"]["ok"] is True
+            assert answers[f"r{i}"]["result"]["status"] == "ok"
+        bad = answers["r9"]
+        if bad_c == 200.0:
+            assert bad["ok"] is True and bad["result"]["status"] == "error"
+            assert "TemperatureRangeError" in bad["result"]["error"]
+        else:
+            assert bad["ok"] is False
+            assert bad["error"]["code"] == protocol.INVALID
+            assert bad["error"]["retryable"] is False
+
     def test_unknown_request_kind_is_typed(self, client):
         answer = client.raw(
             {"op": "read", "stack": 0, "request": {"kind": "warp", "temp_c": 25.0}}
@@ -685,6 +734,20 @@ class TestBinaryWireLive:
             assert mine.temperature_c == theirs.temperature_c
             assert mine.dvtn == theirs.dvtn
             assert mine.dvtp == theirs.dvtp
+
+    @pytest.mark.parametrize("op", [[1], {"a": 1}], ids=["list", "object"])
+    def test_unhashable_op_is_typed_and_connection_survives(self, edge, op):
+        sock, reader = _raw_connection(edge)
+        try:
+            _send_frames(sock, {"id": 1, "op": op}, {"id": 2, "op": "ping"})
+            answer = _recv_frame(reader)
+            assert answer["id"] == 1 and answer["ok"] is False
+            assert answer["error"]["code"] == protocol.UNKNOWN_OP
+            assert answer["error"]["retryable"] is False
+            answer = _recv_frame(reader)
+            assert answer["id"] == 2 and answer["ok"] is True
+        finally:
+            sock.close()
 
     def test_bad_magic_mid_stream_is_answered_then_closed(self, edge):
         sock, reader = _raw_connection(edge)

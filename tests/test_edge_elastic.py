@@ -33,7 +33,6 @@ from repro.edge import (
     RetryPolicy,
     ShardPool,
     remapped_fraction,
-    serve_config_for,
 )
 from repro.edge import protocol
 from repro.edge.supervisor import ShardState
@@ -217,19 +216,6 @@ class TestAutoscaler:
 
 
 class TestDeprecatedConfigShims:
-    def test_worker_configs_shim_warns_and_delegates(self):
-        config = EdgeConfig(shards=2, tiers=TIERS, root_seed=ROOT_SEED)
-        with pytest.deprecated_call():
-            shimmed = config.worker_configs()
-        canonical = EdgeDeployment.from_edge_config(config).worker_configs()
-        assert shimmed == canonical
-
-    def test_serve_config_shim_warns_and_delegates(self):
-        worker = EdgeDeployment(shards=1, tiers=TIERS).worker_config(0)
-        with pytest.deprecated_call():
-            shimmed = worker.serve_config()
-        assert shimmed == serve_config_for(worker)
-
     def test_deployment_round_trips_edge_config(self):
         deployment = EdgeDeployment(shards=3, tiers=TIERS, warm_spares=1)
         assert EdgeDeployment.from_edge_config(deployment.edge_config()) == deployment

@@ -67,6 +67,17 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="STACK_POLL"):
             ReadRequest(kind=RequestKind.TIER_SCAN, temps_c={0: 25.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_temperatures_and_supplies_rejected(self, value):
+        with pytest.raises(ValueError, match="temp_c must be finite"):
+            ReadRequest.point(0, value)
+        with pytest.raises(ValueError, match="vdd must be finite"):
+            ReadRequest.point(0, 25.0, vdd=value)
+        with pytest.raises(ValueError, match="assume_vdd must be finite"):
+            ReadRequest.point(0, 25.0, assume_vdd=value)
+        with pytest.raises(ValueError, match="temps_c entries must be finite"):
+            ReadRequest.poll({0: 25.0, 1: value})
+
     def test_constructors_set_kinds(self):
         assert ReadRequest.point(0, 25.0).kind is RequestKind.POINT_READ
         assert ReadRequest.vt(0, 25.0).kind is RequestKind.VT_EXTRACT
@@ -210,6 +221,51 @@ class TestReadEngine:
         assert bad.status is ResultStatus.ERROR
         assert "unknown tier" in bad.error
         assert good.status is ResultStatus.OK
+
+    @pytest.mark.parametrize("bad_c", [200.0, -80.0])
+    def test_unconvertible_temperature_fails_only_its_own_request(self, bad_c):
+        good = [ReadRequest.point(1, 40.0 + i) for i in range(9)]
+        alone = ReadEngine(fresh_stack(), cache=None).execute(good)
+        mixed = ReadEngine(fresh_stack(), cache=None).execute(
+            good[:4] + [ReadRequest.point(1, bad_c)] + good[4:]
+        )
+        bad = mixed.pop(4)
+        assert bad.status is ResultStatus.ERROR
+        assert "TemperatureRangeError" in bad.error
+        assert [r.status for r in mixed] == [ResultStatus.OK] * 9
+        for mine, theirs in zip(mixed, alone):
+            assert mine.readings == theirs.readings
+
+    def test_refused_batch_keeps_the_noisy_streams_sequential(self):
+        batch = [ReadRequest.point(1, 40.0 + i) for i in range(4)]
+        batch.insert(2, ReadRequest.point(1, 200.0))
+        mixed = ReadEngine(fresh_stack(), cache=None, deterministic=False)
+        sequential = ReadEngine(fresh_stack(), cache=None, deterministic=False)
+        coalesced = mixed.execute(batch)
+        one_by_one = [sequential.execute([request])[0] for request in batch]
+        assert [r.status for r in coalesced] == [r.status for r in one_by_one]
+        for mine, theirs in zip(coalesced, one_by_one):
+            assert mine.readings == theirs.readings
+        follow_up = [ReadRequest.point(1, 50.0)]
+        assert mixed.execute(follow_up)[0].readings == (
+            sequential.execute(follow_up)[0].readings
+        )
+
+    def test_batch_that_converts_costs_one_kernel_call(self, monkeypatch):
+        from repro.serve import engine as engine_module
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return read_paired(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "read_paired", counted)
+        results = ReadEngine(fresh_stack(), cache=None).execute(
+            [ReadRequest.point(1, 40.0 + i) for i in range(9)]
+        )
+        assert calls == [9]
+        assert all(r.status is ResultStatus.OK for r in results)
 
     def test_deadline_shedding(self):
         admission = AdmissionController()

@@ -474,25 +474,6 @@ class TestCli:
 
 
 class TestFrameNamingDeprecation:
-    def test_old_constructor_keywords_warn(self):
-        from repro.readout.interface import SensorFrame
-
-        with pytest.warns(DeprecationWarning):
-            frame = SensorFrame(
-                die_id=1, vtn_shift=0.01, vtp_shift=-0.02, temperature_c=50.0
-            )
-        assert frame.dvtn == pytest.approx(0.01)
-        assert frame.dvtp == pytest.approx(-0.02)
-
-    def test_old_attributes_warn_and_alias(self):
-        from repro.readout.interface import SensorFrame
-
-        frame = SensorFrame(die_id=1, dvtn=0.01, dvtp=-0.02, temperature_c=50.0)
-        with pytest.warns(DeprecationWarning):
-            assert frame.vtn_shift == frame.dvtn
-        with pytest.warns(DeprecationWarning):
-            assert frame.vtp_shift == frame.dvtp
-
     def test_new_names_do_not_warn(self):
         import warnings
 
