@@ -16,6 +16,15 @@ with capped exponential backoff and raise
 :class:`~repro.edge.protocol.EdgeError` once attempts are exhausted or
 immediately for non-retryable codes.  A successful retry is visible in
 :attr:`EdgeResult.attempts`.
+
+Everything the two clients do besides I/O is written once, in
+:class:`_ClientCore` and the helpers beside it: id minting, the
+operation payloads, the retry loop, the answer-or-raise check and the
+typed end-of-stream errors.  The blocking client is not a facade over
+the asyncio one: a caller may close its socket from another thread to
+wake a blocked :meth:`StreamReceiver.next`, and its stream hands over
+the server's typed ``backpressure`` notice where a local drop-oldest
+queue would lose events silently.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import itertools
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple, Union
 
 from repro.edge import protocol
 from repro.edge.protocol import EdgeError, EdgeResult
@@ -50,14 +59,130 @@ class RetryPolicy:
 
 WIRE_FORMATS = ("ndjson", "binary")
 
-
-def _check_wire(wire: str) -> str:
-    if wire not in WIRE_FORMATS:
-        raise ValueError(f"wire must be one of {WIRE_FORMATS}, not {wire!r}")
-    return wire
+#: What one read attempt comes back with: the answer, or what the
+#: exchange raised.
+_Outcome = Union[Dict[str, Any], EdgeError, OSError]
 
 
-class EdgeClient:
+def _answer(answer: Dict[str, Any]) -> Dict[str, Any]:
+    """``answer`` when it reports success; its typed error raised otherwise."""
+    if not answer.get("ok"):
+        raise EdgeError.from_wire(answer.get("error", {}))
+    return answer
+
+
+def _eof(fragment: bytes, what: str) -> EdgeError:
+    """The error for a connection that ended before a whole ``what``.
+
+    Nothing read is a plain close.  A fragment means the server died
+    mid-message: typed and retryable ``closed``, never a decode crash.
+    """
+    if not fragment:
+        return EdgeError(protocol.SHARD_DOWN, "connection closed by server")
+    return EdgeError(
+        protocol.CLOSED, f"connection closed mid-{what} by server", retryable=True
+    )
+
+
+def _decode_line(line: bytes) -> Dict[str, Any]:
+    """One NDJSON line off the wire; a line cut short by EOF is typed."""
+    if not line.endswith(b"\n"):
+        raise _eof(line, "response")
+    return protocol.decode_line(line)
+
+
+class _ClientCore:
+    """What :class:`EdgeClient` and :class:`AsyncEdgeClient` share."""
+
+    #: Prefix of the string ids minted for NDJSON.
+    _id_prefix = "c"
+
+    def __init__(self, host: str, port: int, retry: RetryPolicy, wire: str) -> None:
+        if wire not in WIRE_FORMATS:
+            raise ValueError(f"wire must be one of {WIRE_FORMATS}, not {wire!r}")
+        self.host = host
+        self.port = port
+        self.retry = retry
+        self.wire = wire
+        self._ids = itertools.count(1)
+
+    def _next_id(self):
+        # Packed binary frames carry integer ids; NDJSON keeps the
+        # readable string form.
+        n = next(self._ids)
+        return n if self.wire == "binary" else f"{self._id_prefix}{n}"
+
+    def _encode(self, payload: Dict[str, Any]) -> bytes:
+        if self.wire == "binary":
+            return protocol.encode_frame(payload)
+        return protocol.encode(payload)
+
+    def _subscribe_op(
+        self,
+        kinds: Optional[list],
+        metrics: Optional[list],
+        queue: Optional[int],
+    ) -> Dict[str, Any]:
+        payload: Dict[str, Any] = {"id": self._next_id(), "op": protocol.STREAM_SUBSCRIBE}
+        if kinds is not None:
+            payload["kinds"] = list(kinds)
+        if metrics is not None:
+            payload["metrics"] = list(metrics)
+        if queue is not None:
+            payload["queue"] = queue
+        return payload
+
+    def _unsubscribe_op(self, subscription: int) -> Dict[str, Any]:
+        return {
+            "id": self._next_id(),
+            "op": protocol.STREAM_UNSUBSCRIBE,
+            "subscription": subscription,
+        }
+
+    def _read_attempts(
+        self,
+        stack_id: int,
+        request: ReadRequest,
+        deadline_ms: Optional[float],
+    ) -> Generator[Tuple[float, Dict[str, Any]], _Outcome, EdgeResult]:
+        """The retry loop of one read, with the I/O left to the caller.
+
+        Yields ``(wait_s, payload)`` per attempt; the caller waits
+        ``wait_s``, exchanges ``payload`` and sends back the answer or
+        the :class:`EdgeError` / :class:`OSError` the exchange raised.
+        An ok answer returns its :class:`EdgeResult` (``attempts``
+        counting the tries); a non-retryable error raises at once; a
+        retryable one backs off until :attr:`retry` is spent, then
+        raises.
+        """
+        wire = protocol.request_to_wire(request, deadline_ms=deadline_ms)
+        error: Optional[EdgeError] = None
+        for attempt in range(self.retry.attempts):
+            outcome = yield (
+                self.retry.wait_s(attempt - 1) if attempt else 0.0,
+                {
+                    "v": protocol.PROTOCOL_VERSION,
+                    "id": self._next_id(),
+                    "op": protocol.READ,
+                    "stack": stack_id,
+                    "request": wire,
+                },
+            )
+            if isinstance(outcome, OSError):
+                outcome = EdgeError(protocol.SHARD_DOWN, f"connection failed: {outcome}")
+            elif not isinstance(outcome, EdgeError):
+                if outcome.get("ok"):
+                    return protocol.wire_to_edge_result(outcome, attempts=attempt + 1)
+                outcome = EdgeError.from_wire(outcome.get("error", {}))
+            if not outcome.retryable:
+                raise outcome
+            error = outcome
+        raise error if error is not None else EdgeError(
+            protocol.INTERNAL, "retries exhausted without an error"
+        )
+
+
+class EdgeClient(_ClientCore):
     """Blocking client for one edge server (NDJSON or binary frames)."""
 
     def __init__(
@@ -68,20 +193,10 @@ class EdgeClient:
         retry: RetryPolicy = RetryPolicy(),
         wire: str = "ndjson",
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port, retry, wire)
         self.timeout_s = timeout_s
-        self.retry = retry
-        self.wire = _check_wire(wire)
-        self._ids = itertools.count(1)
         self._sock: Optional[socket.socket] = None
         self._file = None
-
-    def _next_id(self):
-        # Packed binary frames carry integer ids; NDJSON keeps the
-        # readable string form.
-        n = next(self._ids)
-        return n if self.wire == "binary" else f"c{n}"
 
     # ---------------------------------------------------------------- wiring
 
@@ -118,68 +233,35 @@ class EdgeClient:
 
     def _exchange(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Send one operation, return its answer; reconnect on a dead socket."""
-        request_id = payload["id"]
         try:
             self._ensure()
-            if self.wire == "binary":
-                self._sock.sendall(protocol.encode_frame(payload))
-                while True:
-                    answer = self._read_frame()
-                    if answer.get("id") == request_id:
-                        return answer
-                    # Not ours (an id-less framing warning); keep reading.
-            self._sock.sendall(protocol.encode(payload))
+            self._sock.sendall(self._encode(payload))
             while True:
-                line = self._file.readline()
-                if not line:
-                    raise EdgeError(
-                        protocol.SHARD_DOWN, "connection closed by server"
-                    )
-                if not line.endswith(b"\n"):
-                    # A fragment at EOF: the server died mid-response.
-                    # Typed and retryable — never a JSON decode crash.
-                    raise EdgeError(
-                        protocol.CLOSED,
-                        "connection closed mid-response by server",
-                        retryable=True,
-                    )
-                answer = protocol.decode_line(line)
-                if answer.get("id") == request_id:
+                answer = self._read_payload()
+                if answer.get("id") == payload["id"]:
                     return answer
-                # An unsolicited line (e.g. an id-less oversized warning
-                # meant for a different writer) — not ours, keep reading.
-        except (OSError, EdgeError):
-            self.close()
-            raise
+                # Not ours (an id-less framing warning or a pushed
+                # event); keep reading.
         except Exception:
+            # The socket may hold half an answer; never reuse it.
             self.close()
             raise
 
-    def _read_frame(self) -> Dict[str, Any]:
-        """Read exactly one binary frame off the socket file."""
-        header = self._read_exactly(protocol.FRAME_HEADER_SIZE, "frame header")
+    def _read_payload(self) -> Dict[str, Any]:
+        """One pushed object or answer off the wire (either format)."""
+        self._ensure()
+        if self.wire == "ndjson":
+            return _decode_line(self._file.readline())
+        header = self._read_exactly(protocol.FRAME_HEADER_SIZE, b"")
         _version, kind, length = protocol.decode_frame_header(header)
-        body = self._read_exactly(length, "frame body")
-        return protocol.decode_frame_body(kind, body)
+        return protocol.decode_frame_body(kind, self._read_exactly(length, header))
 
-    def _read_exactly(self, count: int, what: str) -> bytes:
-        chunks = []
-        remaining = count
-        while remaining > 0:
-            chunk = self._file.read(remaining)
-            if not chunk:
-                if len(chunks) == 0 and remaining == count and what == "frame header":
-                    raise EdgeError(
-                        protocol.SHARD_DOWN, "connection closed by server"
-                    )
-                raise EdgeError(
-                    protocol.CLOSED,
-                    f"connection closed mid-{what} by server",
-                    retryable=True,
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+    def _read_exactly(self, count: int, before: bytes) -> bytes:
+        """``count`` bytes of the frame that began with ``before``."""
+        blob = self._file.read(count)
+        if len(blob) < count:
+            raise _eof(before + blob, "frame")
+        return blob
 
     # ------------------------------------------------------------------- ops
 
@@ -195,51 +277,25 @@ class EdgeClient:
         raises :class:`EdgeError` when they are exhausted (or at once for
         non-retryable codes).
         """
-        wire = protocol.request_to_wire(request, deadline_ms=deadline_ms)
-        last_error: Optional[EdgeError] = None
-        for attempt in range(self.retry.attempts):
-            if attempt:
-                time.sleep(self.retry.wait_s(attempt - 1))
-            payload = {
-                "v": protocol.PROTOCOL_VERSION,
-                "id": self._next_id(),
-                "op": "read",
-                "stack": stack_id,
-                "request": wire,
-            }
+        attempts = self._read_attempts(stack_id, request, deadline_ms)
+        outcome: Optional[_Outcome] = None
+        while True:
             try:
-                answer = self._exchange(payload)
-            except EdgeError as error:
-                last_error = error
-                if not error.retryable:
-                    raise
-                continue
-            except OSError as error:
-                last_error = EdgeError(
-                    protocol.SHARD_DOWN, f"connection failed: {error}"
-                )
-                continue
-            if answer.get("ok"):
-                return protocol.wire_to_edge_result(answer, attempts=attempt + 1)
-            error = EdgeError.from_wire(answer.get("error", {}))
-            if not error.retryable:
-                raise error
-            last_error = error
-        raise last_error if last_error is not None else EdgeError(
-            protocol.INTERNAL, "retries exhausted without an error"
-        )
+                wait_s, payload = attempts.send(outcome)
+            except StopIteration as done:
+                return done.value
+            if wait_s:
+                time.sleep(wait_s)
+            try:
+                outcome = self._exchange(payload)
+            except (EdgeError, OSError) as error:
+                outcome = error
 
     def ping(self) -> Dict[str, Any]:
-        answer = self._exchange({"id": self._next_id(), "op": "ping"})
-        if not answer.get("ok"):
-            raise EdgeError.from_wire(answer.get("error", {}))
-        return answer
+        return _answer(self.raw({"op": protocol.PING}))
 
     def stats(self) -> Dict[str, Any]:
-        answer = self._exchange({"id": self._next_id(), "op": "stats"})
-        if not answer.get("ok"):
-            raise EdgeError.from_wire(answer.get("error", {}))
-        return answer
+        return _answer(self.raw({"op": protocol.STATS}))
 
     def raw(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One arbitrary operation, no retries — protocol tests and chaos."""
@@ -262,33 +318,8 @@ class EdgeClient:
         :meth:`StreamReceiver.take` until
         :meth:`StreamReceiver.unsubscribe`.
         """
-        payload: Dict[str, Any] = {"id": self._next_id(), "op": protocol.STREAM_SUBSCRIBE}
-        if kinds is not None:
-            payload["kinds"] = list(kinds)
-        if metrics is not None:
-            payload["metrics"] = list(metrics)
-        if queue is not None:
-            payload["queue"] = queue
-        answer = self._exchange(payload)
-        if not answer.get("ok"):
-            raise EdgeError.from_wire(answer.get("error", {}))
+        answer = _answer(self._exchange(self._subscribe_op(kinds, metrics, queue)))
         return StreamReceiver(self, answer["subscription"])
-
-    def _read_payload(self) -> Dict[str, Any]:
-        """One pushed object or answer off the wire (either format)."""
-        self._ensure()
-        if self.wire == "binary":
-            return self._read_frame()
-        line = self._file.readline()
-        if not line:
-            raise EdgeError(protocol.SHARD_DOWN, "connection closed by server")
-        if not line.endswith(b"\n"):
-            raise EdgeError(
-                protocol.CLOSED,
-                "connection closed mid-response by server",
-                retryable=True,
-            )
-        return protocol.decode_line(line)
 
 
 class StreamReceiver:
@@ -330,23 +361,9 @@ class StreamReceiver:
         if self.closed:
             return {"ok": True, "subscription": self.subscription, "dropped": 0}
         self.closed = True
-        request_id = self.client._next_id()
-        payload = {
-            "id": request_id,
-            "op": protocol.STREAM_UNSUBSCRIBE,
-            "subscription": self.subscription,
-        }
-        encode = (
-            protocol.encode_frame if self.client.wire == "binary" else protocol.encode
+        return _answer(
+            self.client._exchange(self.client._unsubscribe_op(self.subscription))
         )
-        self.client._ensure()
-        self.client._sock.sendall(encode(payload))
-        while True:
-            answer = self.client._read_payload()
-            if answer.get("id") == request_id:
-                if not answer.get("ok"):
-                    raise EdgeError.from_wire(answer.get("error", {}))
-                return answer
 
     def __enter__(self) -> "StreamReceiver":
         return self
@@ -419,12 +436,8 @@ class ControlClient:
         if self.token is not None:
             payload["token"] = self.token
         if self.wire == "http":
-            answer = self._http_call(op, payload)
-        else:
-            answer = self._client.raw(payload)
-        if not answer.get("ok"):
-            raise EdgeError.from_wire(answer.get("error", {}))
-        return answer
+            return _answer(self._http_call(op, payload))
+        return _answer(self._client.raw(payload))
 
     def _http_call(self, op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         import http.client
@@ -484,8 +497,10 @@ class AdminClient(ControlClient):
         return self.call(protocol.ADMIN_RESTART, shard=shard)
 
 
-class AsyncEdgeClient:
+class AsyncEdgeClient(_ClientCore):
     """Asyncio edge client; pipelines any number of concurrent reads."""
+
+    _id_prefix = "a"
 
     def __init__(
         self,
@@ -493,17 +508,8 @@ class AsyncEdgeClient:
         port: int,
         retry: RetryPolicy = RetryPolicy(),
         wire: str = "ndjson",
-        resolve: Optional[Callable[[], Tuple[str, int]]] = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.retry = retry
-        self.wire = _check_wire(wire)
-        #: Re-queried before every (re)connect, so a retry can follow the
-        #: target when it moves — fleet failover points this at the
-        #: router instead of burning the retry budget on a dead host.
-        self.resolve = resolve
-        self._ids = itertools.count(1)
+        super().__init__(host, port, retry, wire)
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._pending: Dict[Any, "asyncio.Future[Dict[str, Any]]"] = {}
@@ -511,13 +517,7 @@ class AsyncEdgeClient:
         self._reader_task: Optional["asyncio.Task"] = None
         self._write_lock: Optional[asyncio.Lock] = None
 
-    def _next_id(self):
-        n = next(self._ids)
-        return n if self.wire == "binary" else f"a{n}"
-
     async def connect(self) -> "AsyncEdgeClient":
-        if self.resolve is not None:
-            self.host, self.port = self.resolve()
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
@@ -554,39 +554,44 @@ class AsyncEdgeClient:
             if not future.done():
                 future.set_exception(error)
 
+    async def _read_payload(self) -> Dict[str, Any]:
+        """One pushed object or answer off the wire (either format)."""
+        if self.wire == "ndjson":
+            return _decode_line(await self._reader.readline())
+        header = await self._read_exactly(protocol.FRAME_HEADER_SIZE, b"")
+        _version, kind, length = protocol.decode_frame_header(header)
+        return protocol.decode_frame_body(kind, await self._read_exactly(length, header))
+
+    async def _read_exactly(self, count: int, before: bytes) -> bytes:
+        """``count`` bytes of the frame that began with ``before``."""
+        try:
+            return await self._reader.readexactly(count)
+        except asyncio.IncompleteReadError as error:
+            raise _eof(before + error.partial, "frame") from None
+
     async def _read_loop(self) -> None:
+        error = EdgeError(protocol.SHARD_DOWN, "connection closed by server")
         try:
             while True:
-                if self.wire == "binary":
-                    try:
-                        header = await self._reader.readexactly(
-                            protocol.FRAME_HEADER_SIZE
-                        )
-                    except asyncio.IncompleteReadError:
-                        break
-                    _version, kind, length = protocol.decode_frame_header(header)
-                    body = await self._reader.readexactly(length)
-                    answer = protocol.decode_frame_body(kind, body)
-                else:
-                    line = await self._reader.readline()
-                    if not line:
-                        break
-                    answer = protocol.decode_line(line)
+                answer = await self._read_payload()
                 if "event" in answer and "id" not in answer:
-                    self._route_event(answer)
+                    queue = self._subscriptions.get(answer.get("sub"))
+                    if queue is not None:
+                        self._offer(queue, answer)
                     continue
                 future = self._pending.pop(answer.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(answer)
-        except asyncio.CancelledError:
-            raise
+        except EdgeError as ended:
+            # The stream ended or broke the codec: every waiter gets the
+            # typed reason, as a blocking client's caller would.
+            error = ended
         except Exception:  # noqa: BLE001 - connection-level failure
             pass
         finally:
             # Tear the dead connection down *here*, not lazily: the next
             # ``_exchange`` must see ``_writer is None`` and reconnect
-            # (re-resolving the address) rather than write into a socket
-            # the server already closed.
+            # rather than write into a socket the server already closed.
             writer, self._writer = self._writer, None
             self._reader = None
             if writer is not None:
@@ -594,20 +599,25 @@ class AsyncEdgeClient:
                     writer.close()
                 except (ConnectionResetError, BrokenPipeError, OSError):
                     pass
-            self._fail_pending(
-                EdgeError(protocol.SHARD_DOWN, "connection closed by server")
-            )
+            self._fail_pending(error)
             subscriptions, self._subscriptions = self._subscriptions, {}
             for sub_id, queue in subscriptions.items():
-                self._route_event_closed(queue, sub_id)
+                # Tell each subscription consumer the connection is gone.
+                self._offer(
+                    queue, {"event": "notice", "sub": sub_id, "code": protocol.CLOSED}
+                )
 
     @staticmethod
-    def _route_event_closed(queue: "asyncio.Queue", sub_id: int) -> None:
-        """Tell a subscription consumer the connection is gone."""
-        notice = {"event": "notice", "sub": sub_id, "code": protocol.CLOSED}
+    def _offer(queue: "asyncio.Queue", event: Dict[str, Any]) -> None:
+        """Queue ``event`` for its subscription, dropping the oldest if full.
+
+        The local queue is bounded like the server side, so a paused
+        consumer cannot grow the client without bound (the server's own
+        drop accounting still produces the typed ``notice``).
+        """
         while True:
             try:
-                queue.put_nowait(notice)
+                queue.put_nowait(event)
                 return
             except asyncio.QueueFull:
                 try:
@@ -620,10 +630,13 @@ class AsyncEdgeClient:
             await self.connect()
         future = asyncio.get_running_loop().create_future()
         self._pending[payload["id"]] = future
-        encode = protocol.encode_frame if self.wire == "binary" else protocol.encode
-        async with self._write_lock:
-            self._writer.write(encode(payload))
-            await self._writer.drain()
+        try:
+            async with self._write_lock:
+                self._writer.write(self._encode(payload))
+                await self._writer.drain()
+        except OSError:
+            self._pending.pop(payload["id"], None)
+            raise
         return await future
 
     async def read(
@@ -632,69 +645,25 @@ class AsyncEdgeClient:
         request: ReadRequest,
         deadline_ms: Optional[float] = None,
     ) -> EdgeResult:
-        wire = protocol.request_to_wire(request, deadline_ms=deadline_ms)
-        last_error: Optional[EdgeError] = None
-        for attempt in range(self.retry.attempts):
-            if attempt:
-                await asyncio.sleep(self.retry.wait_s(attempt - 1))
-            payload = {
-                "v": protocol.PROTOCOL_VERSION,
-                "id": self._next_id(),
-                "op": "read",
-                "stack": stack_id,
-                "request": wire,
-            }
-            try:
-                answer = await self._exchange(payload)
-            except EdgeError as error:
-                last_error = error
-                if not error.retryable:
-                    raise
-                continue
-            except OSError as error:
-                # Connect/write failure (host down, connection refused):
-                # retryable, and the next attempt re-resolves the target.
-                self._pending.pop(payload["id"], None)
-                last_error = EdgeError(protocol.SHARD_DOWN, str(error))
-                continue
-            if answer.get("ok"):
-                return protocol.wire_to_edge_result(answer, attempts=attempt + 1)
-            error = EdgeError.from_wire(answer.get("error", {}))
-            if not error.retryable:
-                raise error
-            last_error = error
-        raise last_error if last_error is not None else EdgeError(
-            protocol.INTERNAL, "retries exhausted without an error"
-        )
-
-    async def ping(self) -> Dict[str, Any]:
-        answer = await self._exchange({"id": self._next_id(), "op": "ping"})
-        if not answer.get("ok"):
-            raise EdgeError.from_wire(answer.get("error", {}))
-        return answer
-
-    # ------------------------------------------------------------- streaming
-
-    def _route_event(self, event: Dict[str, Any]) -> None:
-        """Deliver one pushed event to its subscription's local queue.
-
-        The local queue is bounded like the server side: on overflow the
-        oldest locally-buffered event is discarded so a paused consumer
-        cannot grow the client without bound (the server's own drop
-        accounting still produces the typed ``notice``).
-        """
-        queue = self._subscriptions.get(event.get("sub"))
-        if queue is None:
-            return
+        """Serve one :class:`ReadRequest`; retries as :meth:`EdgeClient.read`."""
+        attempts = self._read_attempts(stack_id, request, deadline_ms)
+        outcome: Optional[_Outcome] = None
         while True:
             try:
-                queue.put_nowait(event)
-                return
-            except asyncio.QueueFull:
-                try:
-                    queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    pass
+                wait_s, payload = attempts.send(outcome)
+            except StopIteration as done:
+                return done.value
+            if wait_s:
+                await asyncio.sleep(wait_s)
+            try:
+                outcome = await self._exchange(payload)
+            except (EdgeError, OSError) as error:
+                outcome = error
+
+    async def ping(self) -> Dict[str, Any]:
+        return _answer(await self._exchange({"id": self._next_id(), "op": protocol.PING}))
+
+    # ------------------------------------------------------------- streaming
 
     async def subscribe(
         self,
@@ -709,19 +678,9 @@ class AsyncEdgeClient:
         concurrently.  Iterate the returned handle (``async for``) or
         await :meth:`AsyncSubscription.next`.
         """
-        payload: Dict[str, Any] = {
-            "id": self._next_id(),
-            "op": protocol.STREAM_SUBSCRIBE,
-        }
-        if kinds is not None:
-            payload["kinds"] = list(kinds)
-        if metrics is not None:
-            payload["metrics"] = list(metrics)
-        if queue is not None:
-            payload["queue"] = queue
-        answer = await self._exchange(payload)
-        if not answer.get("ok"):
-            raise EdgeError.from_wire(answer.get("error", {}))
+        answer = _answer(
+            await self._exchange(self._subscribe_op(kinds, metrics, queue))
+        )
         sub_id = answer["subscription"]
         queue_obj: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue(
             maxsize=answer["queue"]
@@ -731,15 +690,9 @@ class AsyncEdgeClient:
 
     async def unsubscribe(self, subscription: int) -> Dict[str, Any]:
         """End a subscription; returns the ack (with ``dropped``)."""
-        answer = await self._exchange({
-            "id": self._next_id(),
-            "op": protocol.STREAM_UNSUBSCRIBE,
-            "subscription": subscription,
-        })
+        answer = await self._exchange(self._unsubscribe_op(subscription))
         self._subscriptions.pop(subscription, None)
-        if not answer.get("ok"):
-            raise EdgeError.from_wire(answer.get("error", {}))
-        return answer
+        return _answer(answer)
 
 
 class AsyncSubscription:

@@ -315,7 +315,11 @@ def wire_to_request(payload: Mapping[str, Any], now: float) -> ReadRequest:
     deadline_ms = payload.get("deadline_ms")
     deadline_s = None
     if deadline_ms is not None:
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms < 0:
+        if (
+            not isinstance(deadline_ms, (int, float))
+            or math.isnan(deadline_ms)
+            or deadline_ms < 0
+        ):
             raise EdgeError(INVALID, "deadline_ms must be a non-negative number")
         deadline_s = now + float(deadline_ms) / 1e3
     temps_c = payload.get("temps_c")
@@ -474,9 +478,12 @@ _INDEX_BY_KIND = {kind: i for i, kind in enumerate(_KIND_BY_INDEX)}
 _STATUS_BY_INDEX: Tuple[ResultStatus, ...] = tuple(ResultStatus)
 _INDEX_BY_STATUS = {status: i for i, status in enumerate(_STATUS_BY_INDEX)}
 
-# id(i64; -1 = none), stack(i64), kind(u8), tier(i16; -1 = none),
-# temp_c, vdd, assume_vdd, deadline_ms (NaN = absent)
-_READ_FIXED = struct.Struct("!qqBhdddd")
+# id(i64; -1 = none), stack(i64), kind(u8), present(u8; the _HAS_* bits),
+# tier(i16; -1 = none), temp_c, vdd, assume_vdd, deadline_ms (0.0 when
+# absent).  Presence is explicit so every float value, NaN included,
+# reaches the request decoder.
+_READ_FIXED = struct.Struct("!qqBBhdddd")
+_HAS_VDD, _HAS_ASSUME_VDD, _HAS_DEADLINE = 1, 2, 4
 # id(i64), shard(i16), status(u8), batch_size(u16), cache_hits(u16),
 # latency_ms
 _RESULT_FIXED = struct.Struct("!qhBHHd")
@@ -538,17 +545,22 @@ def _encode_read_body(payload: Mapping[str, Any]) -> bytes:
     if kind is None:
         raise ValueError("unknown request kind")
     tier = request.get("tier")
+    vdd = request.get("vdd")
+    assume_vdd = request.get("assume_vdd")
     deadline_ms = request.get("deadline_ms")
     parts = [
         _READ_FIXED.pack(
             int(payload.get("id", -1)),
             int(payload.get("stack", 0)),
             _INDEX_BY_KIND[kind],
+            (0 if vdd is None else _HAS_VDD)
+            | (0 if assume_vdd is None else _HAS_ASSUME_VDD)
+            | (0 if deadline_ms is None else _HAS_DEADLINE),
             -1 if tier is None else int(tier),
             float(request.get("temp_c", 25.0)),
-            _nan_if_none(request.get("vdd")),
-            _nan_if_none(request.get("assume_vdd")),
-            _nan_if_none(deadline_ms),
+            0.0 if vdd is None else float(vdd),
+            0.0 if assume_vdd is None else float(assume_vdd),
+            0.0 if deadline_ms is None else float(deadline_ms),
         )
     ]
     tiers = request.get("tiers")
@@ -568,17 +580,9 @@ def _encode_read_body(payload: Mapping[str, Any]) -> bytes:
     return b"".join(parts)
 
 
-def _nan_if_none(value: Optional[float]) -> float:
-    return float("nan") if value is None else float(value)
-
-
-def _none_if_nan(value: float) -> Optional[float]:
-    return None if math.isnan(value) else value
-
-
 def _decode_read_body(body: bytes) -> Dict[str, Any]:
     reader = _BodyReader(body, "read")
-    (rid, stack, kind_index, tier, temp_c, vdd, assume_vdd, deadline_ms) = (
+    (rid, stack, kind_index, present, tier, temp_c, vdd, assume_vdd, deadline_ms) = (
         reader.unpack(_READ_FIXED)
     )
     if kind_index >= len(_KIND_BY_INDEX):
@@ -589,11 +593,11 @@ def _decode_read_body(body: bytes) -> Dict[str, Any]:
     }
     if tier >= 0:
         request["tier"] = tier
-    if (vdd := _none_if_nan(vdd)) is not None:
+    if present & _HAS_VDD:
         request["vdd"] = vdd
-    if (assume_vdd := _none_if_nan(assume_vdd)) is not None:
+    if present & _HAS_ASSUME_VDD:
         request["assume_vdd"] = assume_vdd
-    if (deadline_ms := _none_if_nan(deadline_ms)) is not None:
+    if present & _HAS_DEADLINE:
         request["deadline_ms"] = deadline_ms
     (n_tiers,) = reader.unpack(_U16)
     if n_tiers != _ABSENT_U16:

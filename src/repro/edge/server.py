@@ -1080,7 +1080,8 @@ class EdgeServer:
         keep_alive: bool,
         headers: Optional[Mapping[str, str]] = None,
     ) -> None:
-        op = _HTTP_ROUTES.get(target)
+        path = target.split("?", 1)[0]
+        op = _HTTP_ROUTES.get(path)
         if op is not None and method in (protocol.OPS[op].http, "POST"):
             if op == protocol.READ:
                 await self._http_read(writer, body, keep_alive)
@@ -1089,13 +1090,13 @@ class EdgeServer:
                     writer, op, body if method == "POST" else b"", keep_alive, headers
                 )
             return
-        if method == "POST" and target.startswith("/v1/"):
-            family = target.split("/")[2]
+        if method == "POST" and path.startswith("/v1/"):
+            family = path.split("/")[2]
             verbs = sorted(
                 name.partition(".")[2] for name in _HTTP_ROUTES.values()
                 if name.startswith(family + ".")
             )
-            if verbs and target.startswith(f"/v1/{family}/"):
+            if verbs and path.startswith(f"/v1/{family}/"):
                 _ERRORS.inc()
                 await self._http_error(
                     writer,
@@ -1106,11 +1107,10 @@ class EdgeServer:
                     keep_alive,
                 )
                 return
-        if method == "GET" and target in ("/healthz", "/metrics"):
-            status, content_type, blob = self._status_body(target)
+        if method == "GET" and path in ("/healthz", "/metrics"):
+            status, content_type, blob = self._status_body(path)
             await self._http_write(writer, status, content_type, blob, keep_alive)
             return
-        path = target.split("?", 1)[0]
         if method == "GET" and path == "/v1/stream":
             # The SSE response has no length; it owns the connection
             # until the stream ends, so this exchange is the last.

@@ -6,9 +6,9 @@ The fleet layer federates several deterministic
 * :class:`FleetDirectory` / :class:`HostSpec` — generation-stamped
   placement: shard → replica set, per-tier replication factors,
   failure-domain-aware host selection.
-* :class:`FleetRouter`, :class:`FleetClient`, :class:`AsyncFleetClient`
-  — hedged reads over either edge wire with exact
-  ``hedged``/``attempts`` accounting.
+* :class:`FleetRouter`, :class:`FleetClient` — hedged reads with
+  failover over either edge wire, with exact ``hedged``/``attempts``
+  accounting.
 * :class:`FleetSupervisor` — ``admin.status`` health probes, host
   degradation/death, failover and rebalancing.
 * :class:`FleetFaultPlan` / :class:`HostFault` — declarative host-level
@@ -30,7 +30,6 @@ from repro.fleet.client import (
     HOST_DEAD,
     HOST_DEGRADED,
     HOST_HEALTHY,
-    AsyncFleetClient,
     FleetClient,
     FleetRouter,
 )
@@ -45,7 +44,6 @@ from repro.fleet.supervisor import FleetSupervisor, SupervisorPolicy
 
 __all__ = sorted(
     [
-        "AsyncFleetClient",
         "DEFAULT_TIER",
         "FleetArmResult",
         "FleetBenchConfig",

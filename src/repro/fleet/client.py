@@ -2,9 +2,9 @@
 
 :class:`FleetRouter` turns a :class:`~repro.fleet.directory.FleetDirectory`
 plus a live host-health view into per-read target lists (primary first,
-degraded hosts demoted, dead hosts skipped).  :class:`FleetClient`
-(blocking) and :class:`AsyncFleetClient` (asyncio) ride on it, speaking
-either edge wire (``ndjson`` or ``binary``):
+degraded hosts demoted, dead hosts skipped).  :class:`FleetClient`, the
+one hedged, failover-aware read, rides on it over either edge wire
+(``ndjson`` or ``binary``):
 
 * each read goes to the shard's **primary** replica;
 * if the primary has not answered within the hedge budget — the
@@ -13,30 +13,29 @@ either edge wire (``ndjson`` or ``binary``):
   :class:`~repro.fleet.hedge.HedgePolicy`) — an identical request races
   that secondary replica;
 * the first answer wins.  Deterministic replicas make either answer
-  authoritative, so there is no reconciliation — the loser is cancelled
-  (async) or abandoned to complete in the background (sync sockets
-  cannot be cancelled mid-flight), and the accounting says which.
+  authoritative, so there is no reconciliation — the loser is abandoned
+  to complete in the background (a blocking socket cannot be cancelled
+  mid-flight) and counted.
 
 Winners are stamped with :attr:`EdgeResult.hedged`, the winning
 :attr:`EdgeResult.host` and the fleet-wide :attr:`EdgeResult.attempts`
 (network attempts issued for the logical read, across hosts).  Counts —
-reads, hedges, hedge wins, cancelled/abandoned losers, failovers — are
+reads, hedges, hedge wins, abandoned losers, failovers — are
 exact, exposed via :meth:`FleetClient.stats` and the ``fleet.*``
 telemetry instruments.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro import telemetry
 from repro.edge import protocol
-from repro.edge.client import AsyncEdgeClient, EdgeClient, RetryPolicy
+from repro.edge.client import EdgeClient, RetryPolicy
 from repro.edge.protocol import EdgeError, EdgeResult
 from repro.fleet.directory import FleetDirectory, HostSpec
 from repro.fleet.hedge import HedgePolicy, LatencyTracker
@@ -443,224 +442,3 @@ class FleetClient:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-class AsyncFleetClient:
-    """Asyncio hedged client; cancels the losing attempt outright."""
-
-    def __init__(
-        self,
-        router: "FleetRouter | FleetDirectory",
-        wire: str = "ndjson",
-        hedge: HedgePolicy = HedgePolicy(),
-        retry: RetryPolicy = RetryPolicy(),
-    ) -> None:
-        self.router = (
-            router if isinstance(router, FleetRouter) else FleetRouter(router)
-        )
-        self.wire = wire
-        self.hedge = hedge
-        self.retry = retry
-        self.tracker = LatencyTracker(window=hedge.window)
-        self._clients: Dict[str, AsyncEdgeClient] = {}
-        self.stats: Dict[str, int] = {
-            "reads": 0,
-            "hedges": 0,
-            "hedge_wins": 0,
-            "losers_cancelled": 0,
-            "failovers": 0,
-            "errors": 0,
-        }
-
-    def _client(self, spec: HostSpec) -> AsyncEdgeClient:
-        client = self._clients.get(spec.name)
-        if client is None:
-            # resolve= re-reads the directory per (re)connect, so a
-            # retry after failover lands on the host's current address.
-            def resolve(name: str = spec.name) -> Tuple[str, int]:
-                return self.router.directory.host(name).address
-
-            client = AsyncEdgeClient(
-                spec.host,
-                spec.port,
-                retry=self.retry,
-                wire=self.wire,
-                resolve=resolve,
-            )
-            self._clients[spec.name] = client
-        return client
-
-    async def _read_one(
-        self,
-        spec: HostSpec,
-        stack_id: int,
-        request: ReadRequest,
-        deadline_ms: Optional[float],
-        observe: bool = True,
-    ) -> EdgeResult:
-        started = time.perf_counter()
-        result = await self._client(spec).read(
-            stack_id, request, deadline_ms=deadline_ms
-        )
-        if observe:
-            self.tracker.observe(
-                spec.name, (time.perf_counter() - started) * 1e3
-            )
-        return replace(result, host=spec.name)
-
-    async def warm(self, stack_id: int, request: ReadRequest) -> int:
-        """Prime every live replica of ``stack_id``; see
-        :meth:`FleetClient.warm`.  Cold latencies stay out of the
-        tracker."""
-        served = 0
-        for spec in self.router.targets(stack_id):
-            try:
-                await self._read_one(
-                    spec, stack_id, request, None, observe=False
-                )
-            except (EdgeError, OSError):
-                continue
-            served += 1
-        return served
-
-    async def read(
-        self,
-        stack_id: int,
-        request: ReadRequest,
-        deadline_ms: Optional[float] = None,
-    ) -> EdgeResult:
-        """Hedged read with true cancel-on-first-win."""
-        _READS.inc()
-        self.stats["reads"] += 1
-        targets = self.router.targets(stack_id)
-        if not targets:
-            self.stats["errors"] += 1
-            raise EdgeError(
-                protocol.SHARD_DOWN, f"no live replica for stack {stack_id}"
-            )
-        primary, secondaries = targets[0], targets[1:]
-        started = time.perf_counter() * 1e3
-        tasks: Dict["asyncio.Task", HostSpec] = {
-            asyncio.ensure_future(
-                self._read_one(primary, stack_id, request, deadline_ms)
-            ): primary
-        }
-        attempts_launched = 1
-        hedged = False
-        if self.hedge.enabled and secondaries:
-            budget_ms = self.tracker.budget_ms(secondaries[0].name, self.hedge)
-            _BUDGET_MS.observe(budget_ms)
-            done, _ = await asyncio.wait(tasks, timeout=budget_ms / 1e3)
-            if not done:
-                hedged = True
-                _HEDGES.inc()
-                self.stats["hedges"] += 1
-                # observe=False — see FleetClient.read: hedge-attempt
-                # latencies are biased and would feed back into the
-                # budget they were launched under.
-                tasks[
-                    asyncio.ensure_future(
-                        self._read_one(
-                            secondaries[0],
-                            stack_id,
-                            request,
-                            deadline_ms,
-                            observe=False,
-                        )
-                    )
-                ] = secondaries[0]
-                fallbacks = secondaries[1:]
-                attempts_launched += 1
-            else:
-                fallbacks = secondaries
-        else:
-            fallbacks = secondaries
-        try:
-            result = await self._collect(
-                tasks,
-                primary,
-                stack_id,
-                request,
-                deadline_ms,
-                hedged,
-                attempts_launched,
-                list(fallbacks),
-            )
-        finally:
-            for task in tasks:
-                if not task.done():
-                    task.cancel()
-                    self.stats["losers_cancelled"] += 1
-        _READ_MS.observe(time.perf_counter() * 1e3 - started)
-        return result
-
-    async def _collect(
-        self,
-        tasks: Dict["asyncio.Task", HostSpec],
-        primary: HostSpec,
-        stack_id: int,
-        request: ReadRequest,
-        deadline_ms: Optional[float],
-        hedged: bool,
-        attempts_launched: int,
-        fallbacks: List[HostSpec],
-    ) -> EdgeResult:
-        pending = dict(tasks)
-        last_error: Optional[EdgeError] = None
-        while pending:
-            done, _ = await asyncio.wait(
-                list(pending), return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                spec = pending.pop(task)
-                try:
-                    result = task.result()
-                except asyncio.CancelledError:
-                    continue
-                except EdgeError as error:
-                    last_error = error
-                    if not error.retryable and not pending:
-                        self.stats["errors"] += 1
-                        raise
-                    continue
-                except OSError as error:
-                    last_error = EdgeError(
-                        protocol.SHARD_DOWN,
-                        f"{spec.name} unreachable: {error}",
-                    )
-                    continue
-                if hedged and spec.name != primary.name:
-                    _HEDGE_WINS.inc()
-                    self.stats["hedge_wins"] += 1
-                extra = result.attempts - 1
-                return replace(
-                    result,
-                    hedged=hedged,
-                    attempts=attempts_launched + extra,
-                )
-            if not pending and fallbacks:
-                spec = fallbacks.pop(0)
-                _FAILOVERS.inc()
-                self.stats["failovers"] += 1
-                attempts_launched += 1
-                new_task = asyncio.ensure_future(
-                    self._read_one(spec, stack_id, request, deadline_ms)
-                )
-                pending[new_task] = spec
-                tasks[new_task] = spec
-        self.stats["errors"] += 1
-        if last_error is not None:
-            raise last_error
-        raise EdgeError(
-            protocol.SHARD_DOWN, f"every replica of stack {stack_id} failed"
-        )
-
-    async def close(self) -> None:
-        clients, self._clients = dict(self._clients), {}
-        for client in clients.values():
-            await client.close()
-
-    async def __aenter__(self) -> "AsyncFleetClient":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()

@@ -40,8 +40,13 @@ READER_DOCS = sorted(
 #: pages plus the work plan, whose links must resolve too.
 DOC_FILES = sorted(READER_DOCS + _existing("ROADMAP.md"))
 
-#: Config derivations that :mod:`repro.edge.deploy` superseded.
-_STALE_APIS = ("EdgeConfig.worker_configs", "WorkerConfig.serve_config")
+#: Names the API no longer has: config derivations that
+#: :mod:`repro.edge.deploy` superseded, and removed classes.
+_STALE_APIS = (
+    "EdgeConfig.worker_configs",
+    "WorkerConfig.serve_config",
+    "AsyncFleetClient",
+)
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -84,7 +89,7 @@ def test_relative_links_resolve(doc):
 
 
 def _stale_mentions(paths):
-    """``(page, name)`` for every deprecated derivation a page names."""
+    """``(page, name)`` for every removed or deprecated name a page uses."""
     stale = []
     for doc in paths:
         text = doc.read_text(encoding="utf-8")
@@ -98,7 +103,7 @@ def test_docs_never_advertise_deprecated_config_derivations():
         for doc, needle in _stale_mentions(READER_DOCS)
     ]
     assert not stale, (
-        "docs reference deprecated derivations (use EdgeDeployment):\n  "
+        "docs reference removed or deprecated names:\n  "
         + "\n  ".join(stale)
     )
 

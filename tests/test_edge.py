@@ -13,6 +13,8 @@ Three layers of coverage:
   service, partitioned by the same hash ring.
 """
 
+import asyncio
+import dataclasses
 import json
 import socket
 import threading
@@ -22,6 +24,7 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.edge import (
+    AsyncEdgeClient,
     EdgeClient,
     EdgeConfig,
     EdgeDeployment,
@@ -34,7 +37,7 @@ from repro.edge import (
     shard_seed,
 )
 from repro.edge import protocol
-from repro.serve import ReadRequest, SensorReadService
+from repro.serve import ReadRequest, ResultStatus, SensorReadService
 
 TIERS = 4
 SHARDS = 4
@@ -128,11 +131,15 @@ class TestRequestWireRoundTrip:
         "payload",
         [
             {"kind": "warp", "temp_c": 25.0},
-            {"kind": "point", "tier": 0, "deadline_ms": -5},
-            {"kind": "point", "tier": 0, "temps_c": "hot"},
-            {"kind": "scan", "tiers": "all"},
+            {"kind": "point_read", "tier": 0, "deadline_ms": -5},
+            {"kind": "point_read", "tier": 0, "deadline_ms": float("nan")},
+            {"kind": "point_read", "tier": 0, "temps_c": "hot"},
+            {"kind": "tier_scan", "tiers": "all"},
         ],
-        ids=["unknown-kind", "negative-deadline", "bad-temps", "bad-tiers"],
+        ids=[
+            "unknown-kind", "negative-deadline", "nan-deadline", "bad-temps",
+            "bad-tiers",
+        ],
     )
     def test_invalid_requests_are_typed(self, payload):
         with pytest.raises(EdgeError) as info:
@@ -437,13 +444,25 @@ class TestEdgeHttpAdapter:
         finally:
             conn.close()
 
+    def test_query_string_does_not_change_the_route(self, edge):
+        answers = []
+        for target in ("/v1/admin/status", "/v1/admin/status?x=1"):
+            conn = HTTPConnection(edge.host, edge.port, timeout=30.0)
+            try:
+                conn.request("GET", target)
+                response = conn.getresponse()
+                answers.append((response.status, json.loads(response.read())))
+            finally:
+                conn.close()
+        (plain_status, plain), (query_status, query) = answers
+        assert query_status == plain_status == 200
+        assert query["ok"] is plain["ok"] is True
+        assert query["status"]["shards"] == plain["status"]["shards"]
+        assert query["status"].keys() == plain["status"].keys()
+
 
 class TestAsyncClient:
     def test_pipelined_concurrent_reads(self, edge):
-        import asyncio
-
-        from repro.edge import AsyncEdgeClient
-
         async def go():
             async with AsyncEdgeClient(edge.host, edge.port) as client:
                 results = await asyncio.gather(
@@ -460,6 +479,42 @@ class TestAsyncClient:
         ring = HashRing(range(SHARDS))
         assert [r.shard for r in results] == [ring.route(s) for s in range(10)]
         assert pong["ok"] is True
+
+
+class TestClientParity:
+    """The blocking and asyncio clients answer one script identically."""
+
+    SCRIPT = (
+        (3, ReadRequest.point(1, 55.0)),
+        (5, ReadRequest.vt(0, 60.0)),
+        (7, ReadRequest.scan(35.0)),
+        (9, ReadRequest.poll({t: 30.0 + 5 * t for t in range(TIERS)})),
+        (11, ReadRequest.point(2, 200.0)),  # out of range: the edge refuses it
+    )
+
+    @staticmethod
+    def _served(result):
+        # cache_hit is host-local serving metadata: whichever client came
+        # second was answered from the cache.
+        readings = [dataclasses.replace(r, cache_hit=False) for r in result.readings]
+        return result.status, result.shard, result.error, readings
+
+    def test_both_clients_on_both_wires_agree(self, edge):
+        async def read_async(wire):
+            async with AsyncEdgeClient(edge.host, edge.port, wire=wire) as client:
+                return [await client.read(s, r) for s, r in self.SCRIPT]
+
+        runs = []
+        for wire in ("ndjson", "binary"):
+            with EdgeClient(edge.host, edge.port, wire=wire) as client:
+                runs.append([client.read(s, r) for s, r in self.SCRIPT])
+            runs.append(asyncio.run(read_async(wire)))
+        first = [self._served(result) for result in runs[0]]
+        assert first[-1][0] is ResultStatus.ERROR
+        assert "TemperatureRangeError" in first[-1][2]
+        assert all(status is ResultStatus.OK for status, *_ in first[:-1])
+        for run in runs[1:]:
+            assert [self._served(result) for result in run] == first
 
 
 class TestShardCrashRecovery:
@@ -734,6 +789,19 @@ class TestBinaryWireLive:
             assert mine.temperature_c == theirs.temperature_c
             assert mine.dvtn == theirs.dvtn
             assert mine.dvtp == theirs.dvtp
+
+    def test_nan_vdd_is_refused_alike_on_both_wires(self, edge):
+        request = {"kind": "point_read", "tier": 0, "temp_c": 25.0, "vdd": float("nan")}
+        answers = []
+        for wire in ("ndjson", "binary"):
+            with EdgeClient(edge.host, edge.port, wire=wire) as c:
+                answers.append(c.raw({"op": "read", "stack": 2, "request": request}))
+        over_json, over_frames = answers
+        assert over_json["ok"] is False
+        assert over_json["error"]["code"] == protocol.INVALID
+        assert "vdd must be finite" in over_json["error"]["message"]
+        assert over_frames["error"] == over_json["error"]
+        assert over_frames.get("shard") == over_json.get("shard")
 
     @pytest.mark.parametrize("op", [[1], {"a": 1}], ids=["list", "object"])
     def test_unhashable_op_is_typed_and_connection_survives(self, edge, op):
@@ -1013,24 +1081,39 @@ class _TruncatingServer(threading.Thread):
         self.listener.close()
 
 
+@pytest.fixture()
+def truncating_server():
+    server = _TruncatingServer()
+    server.start()
+    yield server
+    server.stop()
+
+
 class TestClientPartialResponse:
-    def test_truncated_response_is_a_typed_retryable_closed_error(self):
-        server = _TruncatingServer()
-        server.start()
-        try:
-            client = EdgeClient(
-                "127.0.0.1",
-                server.port,
-                retry=RetryPolicy(attempts=2, backoff_s=0.01),
-            )
-            with client, pytest.raises(EdgeError) as info:
-                client.read(0, ReadRequest.point(0, 45.0))
-            # Never a JSON decode crash: the fragment at EOF maps to the
-            # typed, retryable `closed` error (both attempts truncated).
-            assert info.value.code == protocol.CLOSED
-            assert info.value.retryable is True
-        finally:
-            server.stop()
+    # Never a JSON decode crash: the fragment at EOF maps to the typed,
+    # retryable `closed` error (both attempts truncated), on both clients.
+    RETRY = RetryPolicy(attempts=2, backoff_s=0.01)
+
+    def test_truncated_response_is_a_typed_retryable_closed_error(
+        self, truncating_server
+    ):
+        client = EdgeClient("127.0.0.1", truncating_server.port, retry=self.RETRY)
+        with client, pytest.raises(EdgeError) as info:
+            client.read(0, ReadRequest.point(0, 45.0))
+        assert info.value.code == protocol.CLOSED
+        assert info.value.retryable is True
+
+    def test_async_client_raises_the_same_closed_error(self, truncating_server):
+        async def go():
+            async with AsyncEdgeClient(
+                "127.0.0.1", truncating_server.port, retry=self.RETRY
+            ) as client:
+                await client.read(0, ReadRequest.point(0, 45.0))
+
+        with pytest.raises(EdgeError) as info:
+            asyncio.run(go())
+        assert info.value.code == protocol.CLOSED
+        assert info.value.retryable is True
 
 
 # ------------------------------------------------- coalesced worker IPC

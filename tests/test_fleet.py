@@ -10,8 +10,7 @@ Three tiers of coverage:
   (identical ``root_seed``, one stalled by an injected
   ``EdgeConfig.stall_ms``) carries the golden cross-host determinism
   check over both wires, the exact hedge/loser accounting, the SSE
-  resume/replay surface, the per-state ``/metrics`` labels and the
-  asyncio client's per-attempt re-resolution;
+  resume/replay surface and the per-state ``/metrics`` labels;
 * **live, chaos** — a private two-host fleet whose primary is killed
   mid-run: the client must fail over to the survivor with zero
   non-retryable errors.
@@ -23,7 +22,6 @@ every host and over every wire (``cache_hit`` excepted — whether a
 physics).
 """
 
-import asyncio
 import json
 import socket
 import urllib.request
@@ -31,7 +29,6 @@ import urllib.request
 import pytest
 
 from repro.edge import (
-    AsyncEdgeClient,
     EdgeClient,
     EdgeConfig,
     EdgeError,
@@ -543,43 +540,3 @@ class TestMetricsShardStateLabels:
         for state in ("warm", "starting", "quarantined", "draining", "stopped"):
             assert f'repro_edge_shards{{state="{state}"}} 0' in lines
 
-
-# ------------------------------------------------- async re-resolution
-
-
-class TestAsyncClientReResolves:
-    def test_retry_follows_the_target_when_it_moves(self, pair):
-        _, directory = pair
-        fast = directory.host("fast")
-        # A port that refuses connections: bind, close, use the number.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead_port = probe.getsockname()[1]
-        probe.close()
-        addresses = [("127.0.0.1", dead_port), (fast.host, fast.port)]
-        resolved = []
-
-        def resolve():
-            address = addresses[min(len(resolved), len(addresses) - 1)]
-            resolved.append(address)
-            return address
-
-        async def run():
-            client = AsyncEdgeClient(
-                "unused", 1,
-                retry=RetryPolicy(attempts=3, backoff_s=0.01),
-                resolve=resolve,
-            )
-            try:
-                return await client.read(5, ReadRequest.point(1, 48.0))
-            finally:
-                await client.close()
-
-        result = asyncio.run(run())
-        assert result.ok
-        # First attempt hit the dead address and failed retryably; the
-        # retry re-resolved and landed on the live host.
-        assert len(resolved) >= 2
-        assert resolved[0] == ("127.0.0.1", dead_port)
-        assert resolved[-1] == (fast.host, fast.port)
-        assert result.attempts >= 2
