@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import optimize
 
+from repro.batch.model import RANGE_GUARD_K
 from repro.circuits.oscillator_bank import build_oscillator_bank, environment_for_die
 from repro.circuits.ring_oscillator import Environment
 from repro.config import SensorConfig
@@ -27,9 +28,6 @@ from repro.readout.counter import PeriodTimer
 from repro.circuits.digital import WindowCounter
 from repro.units import celsius_to_kelvin, kelvin_to_celsius
 from repro.variation.montecarlo import DieSample
-
-# Guard band beyond the specified range, matching the core estimator.
-_RANGE_GUARD_K = 15.0
 
 
 class RatioSensor:
@@ -105,8 +103,8 @@ class RatioSensor:
         f_ref_hat = self._ref_counter.frequency_from_count(count_ref)
         measured_ratio = f_t_hat / f_ref_hat
 
-        lo = celsius_to_kelvin(self.config.temp_min_c) - _RANGE_GUARD_K
-        hi = celsius_to_kelvin(self.config.temp_max_c) + _RANGE_GUARD_K
+        lo = celsius_to_kelvin(self.config.temp_min_c) - RANGE_GUARD_K
+        hi = celsius_to_kelvin(self.config.temp_max_c) + RANGE_GUARD_K
 
         def residual(temp_k: float) -> float:
             return self._model_ratio(temp_k) - measured_ratio

@@ -13,8 +13,10 @@ a handful of ufunc passes:
 * :mod:`~repro.batch.stages` — the four stage-delay kernels (extensible
   via :func:`register_delay_kernel`);
 * :mod:`~repro.batch.bank` — ring/bank frequencies over grids;
-* :mod:`~repro.batch.model` — vectorised Newton extraction, temperature
-  inversion and the full self-calibration loop;
+* :mod:`~repro.batch.model` — the self-calibration algorithm itself,
+  written once over lanes (Newton extraction, temperature inversion, the
+  round loop); the scalar ``repro.core`` entry points are its one-lane
+  calls;
 * :func:`read_population` — whole-die-population conversions, bit-faithful
   to the scalar ``PTSensor.read`` loops (same rng streams, same
   quantisation);
@@ -22,7 +24,8 @@ a handful of ufunc passes:
   coalesced request batches (the :mod:`repro.serve` hot path), equally
   bit-faithful to the sequential scalar request loop.
 
-Golden equivalence against the scalar path is pinned by
+Golden equivalence against the scalar physics model, and bit identity
+between the one-lane and many-lane paths, are pinned by
 ``tests/test_batch_engine.py``.
 """
 
@@ -55,7 +58,6 @@ from repro.batch.model import (
     estimate_temperature_batch,
     extract_process_batch,
     process_frequencies_batch,
-    process_jacobian_batch,
     tsro_frequency_batch,
 )
 from repro.batch.population import (
@@ -88,7 +90,6 @@ __all__ = [
     "population_bank_frequencies",
     "population_grid",
     "process_frequencies_batch",
-    "process_jacobian_batch",
     "read_paired",
     "read_population",
     "read_uncalibrated_population",

@@ -1,49 +1,73 @@
-"""Array twins of the sensing-model / calibration stack.
+"""The self-calibration algorithm, written once over lanes.
 
-The scalar pipeline (``repro.core``) runs, per die and per conversion,
-a LUT-seeded 2-D Newton extraction followed by a bracketed temperature
-inversion, alternated until the temperature fix stops moving.  Population
-studies repeat that thousands of times on identical control flow, so this
-module runs the *same* algorithms with every die as one lane of a NumPy
-array: converged lanes freeze behind an active-point mask (mirroring the
-scalar early exits), the 2x2 Newton systems solve in closed form, and the
-monotone TSRO curve inverts by vectorised bisection at the same 1e-4 K
-tolerance ``brentq`` uses.
+One lane is one conversion.  :func:`calibrate_batch` alternates a
+LUT-seeded 2-D Newton extraction of (dV_tn, dV_tp) with a process-corrected
+TSRO inversion until the temperature fix stops moving.  The scalar entry
+points of :mod:`repro.core` (``extract_process``, ``estimate_temperature``
+and its clamped form, ``SelfCalibrationEngine.run``) are one-lane calls of
+these functions, so a conversion gives the same bits whether one sensor, a
+request batch or a population computes it.
+
+A model call costs about the same at one lane as at a hundred, so the
+algorithm makes few of them: each Newton iteration evaluates its base
+point and its four 0.5 mV Jacobian points in one call; the TSRO curve,
+whose logarithm is nearly linear in temperature, inverts by Newton on
+``ln f`` from the previous round's temperature, inside the guard-banded
+range bracket with bisection as the fallback; and every round and
+iteration runs only the lanes still moving.  The scalar frequency model of
+:mod:`repro.circuits` stays the physics reference the tests check against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.batch.bank import oscillator_frequency_batch
 from repro.batch.grid import EnvironmentGrid
-from repro.core.decoupler import ProcessLut
 from repro.core.errors import (
     CalibrationError,
     ExtractionDivergedError,
     TemperatureRangeError,
 )
 from repro.core.sensing_model import SensingModel
-from repro.core.temperature import _RANGE_GUARD_K
 from repro.units import celsius_to_kelvin
-from repro.variation.corners import mobility_scales
+
+if TYPE_CHECKING:
+    from repro.core.decoupler import ProcessLut
+
+# How far beyond the specified range the estimator searches before
+# declaring the reading out of range.  Sensors report slightly beyond spec
+# rather than failing at the boundary.
+RANGE_GUARD_K = 15.0
+
+_JACOBIAN_STEP_V = 0.5e-3  # as SensingModel.process_jacobian
+_RESIDUAL_HZ = 1.0  # a lane's extraction stops below this residual
+_SLOPE_STEP_K = 1e-3  # forward difference of d(ln f_TSRO)/dT
+# The inversion stops on a Newton step shorter than this; convergence is
+# quadratic, so the answer is then within ~1e-10 K, far below the 0.05 K
+# step that ends a calibration round.
+_NEWTON_STEP_K = 1e-4
+# Each inversion iteration steps inside the bracket or halves it: a backstop.
+_INVERSION_ITERATIONS = 100
 
 
-def _first_lane(mask) -> tuple:
-    """Index of the first True lane of a (possibly 0-d) boolean mask."""
-    return tuple(int(k[0]) for k in np.atleast_1d(mask).nonzero())
+def _lanes(*values):
+    """``values`` broadcast together as flat contiguous float lanes, and
+    the shape the results go back in."""
+    arrays = [np.asarray(value, dtype=float) for value in values]
+    shape = np.broadcast_shapes(*(array.shape for array in arrays))
+    return [np.broadcast_to(array, shape).ravel() for array in arrays], shape
 
 
 def _model_grid(
     model: SensingModel, dvtn, dvtp, temp_k, vdd: Optional[float]
 ) -> EnvironmentGrid:
-    """Typical-die grid at hypothetical process points (array twin of
-    :meth:`SensingModel.environment`, including the threshold-mobility
-    coupling)."""
-    mun, mup = mobility_scales(dvtn, dvtp)
+    """Typical-die grid at hypothetical process points: the array form of
+    :meth:`SensingModel.environment`, mobility from the model's hook."""
+    mun, mup = model.mobility_scales(dvtn, dvtp)
     return EnvironmentGrid.of(
         temp_k=temp_k,
         vdd=model.technology.vdd if vdd is None else vdd,
@@ -73,48 +97,6 @@ def tsro_frequency_batch(
     return oscillator_frequency_batch(model.bank.tsro, grid)
 
 
-def process_jacobian_batch(
-    model: SensingModel,
-    dvtn,
-    dvtp,
-    temp_k,
-    vdd: Optional[float] = None,
-    delta: float = 0.5e-3,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point 2x2 Jacobians ``d(f_N, f_P)/d(dV_tn, dV_tp)``.
-
-    Returns the four entries ``(j_nn, j_np, j_pn, j_pp)`` as arrays, using
-    the same 0.5 mV central differences as the scalar
-    :meth:`SensingModel.process_jacobian`.
-    """
-    dvtn = np.asarray(dvtn, dtype=float)
-    dvtp = np.asarray(dvtp, dtype=float)
-    fn_hi_n, fp_hi_n = process_frequencies_batch(model, dvtn + delta, dvtp, temp_k, vdd)
-    fn_lo_n, fp_lo_n = process_frequencies_batch(model, dvtn - delta, dvtp, temp_k, vdd)
-    fn_hi_p, fp_hi_p = process_frequencies_batch(model, dvtn, dvtp + delta, temp_k, vdd)
-    fn_lo_p, fp_lo_p = process_frequencies_batch(model, dvtn, dvtp - delta, temp_k, vdd)
-    scale = 1.0 / (2.0 * delta)
-    return (
-        (fn_hi_n - fn_lo_n) * scale,
-        (fn_hi_p - fn_lo_p) * scale,
-        (fp_hi_n - fp_lo_n) * scale,
-        (fp_hi_p - fp_lo_p) * scale,
-    )
-
-
-def _lut_seed_batch(
-    lut: ProcessLut, f_n: np.ndarray, f_p: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised :meth:`ProcessLut.seed`: nearest grid point per lane."""
-    shape = f_n.shape
-    err_n = (lut.f_n_grid[None, :, :] - f_n.reshape(-1, 1, 1)) / lut.f_n_grid
-    err_p = (lut.f_p_grid[None, :, :] - f_p.reshape(-1, 1, 1)) / lut.f_p_grid
-    cost = err_n**2 + err_p**2
-    flat = np.argmin(cost.reshape(cost.shape[0], -1), axis=1)
-    i, j = np.unravel_index(flat, lut.f_n_grid.shape)
-    return lut.dvtn_axis[i].reshape(shape), lut.dvtp_axis[j].reshape(shape)
-
-
 def extract_process_batch(
     model: SensingModel,
     f_n_measured,
@@ -123,75 +105,138 @@ def extract_process_batch(
     vdd: Optional[float] = None,
     lut: Optional[ProcessLut] = None,
     iterations: Optional[int] = None,
-    tolerance_hz: float = 1.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Array twin of :func:`repro.core.decoupler.extract_process`.
+    """Extract (dV_tn, dV_tp) per lane from measured process-ring frequencies.
 
-    All lanes Newton-iterate together; a lane that meets the residual
-    tolerance freezes (exactly like the scalar early ``break``) while the
-    rest continue.  Any lane diverging — singular sensitivity, or an
-    iterate leaving the inflated characterised box — raises
-    :class:`ExtractionDivergedError`, as every scalar call in a loop would.
+    Each lane starts at its LUT seed (the typical point without a LUT) and
+    Newton-iterates on the model at its temperature estimate until both
+    residuals are below 1 Hz or ``iterations`` (``None`` = the config's
+    value) steps are spent.
+
+    Raises:
+        ValueError: On a non-positive frequency.
+        ExtractionDivergedError: If a lane's sensitivity matrix is
+            singular, its iterate leaves the box inflated by half, or its
+            result lies outside the characterised box.
     """
-    f_n = np.asarray(f_n_measured, dtype=float)
-    f_p = np.asarray(f_p_measured, dtype=float)
+    (f_n, f_p, temp_k), shape = _lanes(f_n_measured, f_p_measured, temp_k)
     if np.any(f_n <= 0.0) or np.any(f_p <= 0.0):
         raise ValueError("measured frequencies must be positive")
     iterations = model.config.newton_iterations if iterations is None else iterations
-
-    shape = np.broadcast_shapes(f_n.shape, f_p.shape, np.shape(temp_k))
-    f_n = np.broadcast_to(f_n, shape)
-    f_p = np.broadcast_to(f_p, shape)
-    temp_k = np.broadcast_to(np.asarray(temp_k, dtype=float), shape)
-
     if lut is not None:
-        dvtn, dvtp = _lut_seed_batch(lut, f_n, f_p)
-        dvtn = dvtn.copy()
-        dvtp = dvtp.copy()
+        dvtn, dvtp = lut.seed_lanes(f_n, f_p)
     else:
-        dvtn = np.zeros(shape)
-        dvtp = np.zeros(shape)
+        dvtn, dvtp = np.zeros(f_n.size), np.zeros(f_n.size)
 
-    active = np.ones(shape, dtype=bool)
+    delta = _JACOBIAN_STEP_V
     margin = 1.5 * model.vt_box
+    live = np.arange(f_n.size)
     for _ in range(iterations):
-        fm_n, fm_p = process_frequencies_batch(model, dvtn, dvtp, temp_k, vdd)
-        res_n = fm_n - f_n
-        res_p = fm_p - f_p
-        active &= np.maximum(np.abs(res_n), np.abs(res_p)) >= tolerance_hz
-        if not active.any():
+        n, p = dvtn[live], dvtp[live]
+        fn, fp = process_frequencies_batch(
+            model,
+            np.concatenate((n, n + delta, n - delta, n, n)),
+            np.concatenate((p, p, p, p + delta, p - delta)),
+            np.tile(temp_k[live], 5),
+            vdd,
+        )
+        fn, fp = fn.reshape(5, -1), fp.reshape(5, -1)
+        res_n, res_p = fn[0] - f_n[live], fp[0] - f_p[live]
+        # Written so a NaN residual keeps moving (and then diverges).
+        moving = ~(np.maximum(np.abs(res_n), np.abs(res_p)) < _RESIDUAL_HZ)
+        if not moving.any():
             break
-        j_nn, j_np, j_pn, j_pp = process_jacobian_batch(
-            model, dvtn, dvtp, temp_k, vdd
-        )
+        live, res_n, res_p = live[moving], res_n[moving], res_p[moving]
+        j_nn = (fn[1] - fn[2])[moving] / (2.0 * delta)
+        j_np = (fn[3] - fn[4])[moving] / (2.0 * delta)
+        j_pn = (fp[1] - fp[2])[moving] / (2.0 * delta)
+        j_pp = (fp[3] - fp[4])[moving] / (2.0 * delta)
         det = j_nn * j_pp - j_np * j_pn
-        if np.any(active & (det == 0.0)):
-            raise ExtractionDivergedError("singular sensitivity matrix in batch")
-        safe_det = np.where(det == 0.0, 1.0, det)
-        step_n = (j_pp * res_n - j_np * res_p) / safe_det
-        step_p = (j_nn * res_p - j_pn * res_n) / safe_det
-        dvtn = np.where(active, dvtn - step_n, dvtn)
-        dvtp = np.where(active, dvtp - step_p, dvtp)
-        left = active & (
-            (np.abs(dvtn) > margin) | (np.abs(dvtp) > margin)
-        )
-        if left.any():
-            index = _first_lane(left)
+        if np.any(det == 0.0):
+            lane = int(live[np.argmax(det == 0.0)])
             raise ExtractionDivergedError(
-                f"iterate left the characterised box at lane {index}: "
-                f"dvtn={float(np.atleast_1d(dvtn)[index]):.4f}, "
-                f"dvtp={float(np.atleast_1d(dvtp)[index]):.4f}"
+                f"singular sensitivity matrix at lane {lane}: "
+                f"dvtn={dvtn[lane]:.4f}, dvtp={dvtp[lane]:.4f}"
+            )
+        dvtn[live] -= (j_pp * res_n - j_np * res_p) / det
+        dvtp[live] -= (j_nn * res_p - j_pn * res_n) / det
+        left = (np.abs(dvtn[live]) > margin) | (np.abs(dvtp[live]) > margin)
+        if left.any():
+            lane = int(live[np.argmax(left)])
+            raise ExtractionDivergedError(
+                f"iterate left the characterised box at lane {lane}: "
+                f"dvtn={dvtn[lane]:.4f}, dvtp={dvtp[lane]:.4f}"
             )
 
-    outside = (np.abs(dvtn) > model.vt_box) | (np.abs(dvtp) > model.vt_box)
+    outside = ~model.inside_box(dvtn, dvtp)
     if outside.any():
-        index = _first_lane(outside)
+        lane = int(np.argmax(outside))
         raise ExtractionDivergedError(
-            f"extraction settled outside the characterised box at lane "
-            f"{index}: dvtn={float(np.atleast_1d(dvtn)[index]):.4f}, "
-            f"dvtp={float(np.atleast_1d(dvtp)[index]):.4f}"
+            f"extraction settled outside the characterised box at lane {lane}: "
+            f"dvtn={dvtn[lane]:.4f}, dvtp={dvtp[lane]:.4f}"
         )
-    return dvtn, dvtp
+    return dvtn.reshape(shape), dvtp.reshape(shape)
+
+
+def _invert_tsro(model, f_t, dvtn, dvtp, vdd, start_k, clamp: bool) -> np.ndarray:
+    """Temperature per lane of the flat lanes ``f_t``, ``dvtn``, ``dvtp``.
+
+    Safeguarded Newton on ``ln f(T) - ln f_t`` from ``start_k``: every
+    evaluation narrows the lane's bracket, and a step that would leave it
+    bisects instead.  The first model call also evaluates both ends of the
+    guard-banded range: that is the range check.
+    """
+    if not np.all(f_t > 0.0):
+        raise ValueError("measured TSRO frequency must be positive")
+    lo_k = celsius_to_kelvin(model.config.temp_min_c) - RANGE_GUARD_K
+    hi_k = celsius_to_kelvin(model.config.temp_max_c) + RANGE_GUARD_K
+    size = f_t.size
+    t = np.clip(start_k, lo_k, hi_k)
+    ends = np.repeat((lo_k, hi_k), size)
+    f = tsro_frequency_batch(
+        model,
+        np.tile(dvtn, 4),
+        np.tile(dvtp, 4),
+        np.concatenate((ends, t, t + _SLOPE_STEP_K)),
+        vdd,
+    ).reshape(4, size)
+    below, above = f_t < f[0], f_t > f[1]
+    if not clamp and (below | above).any():
+        lane = int(np.argmax(below | above))
+        raise TemperatureRangeError(
+            f"TSRO frequency {f_t[lane] / 1e6:.3f} MHz at lane {lane} maps "
+            f"outside [{model.config.temp_min_c}, {model.config.temp_max_c}] degC"
+        )
+    temp = np.where(below, lo_k, hi_k)
+
+    live = np.flatnonzero(~(below | above))
+    target, t, ln_f = np.log(f_t[live]), t[live], np.log(f[2:, live])
+    lo, hi = np.full(live.size, lo_k), np.full(live.size, hi_k)
+    for _ in range(_INVERSION_ITERATIONS):
+        residual = ln_f[0] - target
+        lo, hi = np.where(residual < 0.0, t, lo), np.where(residual < 0.0, hi, t)
+        slope = (ln_f[1] - ln_f[0]) / _SLOPE_STEP_K
+        newton = t - residual / np.where(slope > 0.0, slope, 1.0)
+        inside = (slope > 0.0) & (newton >= lo) & (newton <= hi)
+        step = np.where(inside, newton, 0.5 * (lo + hi))
+        done = inside & (np.abs(step - t) < _NEWTON_STEP_K)
+        temp[live[done]] = step[done]
+        going = ~done
+        live, target, t = live[going], target[going], step[going]
+        lo, hi = lo[going], hi[going]
+        if not live.size:
+            break
+        ln_f = np.log(
+            tsro_frequency_batch(
+                model,
+                np.tile(dvtn[live], 2),
+                np.tile(dvtp[live], 2),
+                np.concatenate((t, t + _SLOPE_STEP_K)),
+                vdd,
+            ).reshape(2, -1)
+        )
+    temp[live] = t
+    return temp
 
 
 def estimate_temperature_batch(
@@ -200,69 +245,26 @@ def estimate_temperature_batch(
     dvtn,
     dvtp,
     vdd: Optional[float] = None,
-    tolerance_k: float = 1e-4,
     clamp: bool = False,
 ) -> np.ndarray:
-    """Array twin of :func:`repro.core.temperature.estimate_temperature`.
+    """Invert each lane's die-corrected TSRO curve for temperature, kelvin.
 
-    The die-corrected TSRO curve is strictly monotone in temperature, so
-    every lane inverts by bisection down to ``tolerance_k``.  With
-    ``clamp=True`` out-of-range lanes peg at the guard-banded range edges
-    (the hardware behaviour of
+    The curve is strictly monotone in temperature, so the guard-banded
+    specified range brackets every in-range root; the search starts at
+    300 K, the calibration loop's default prior.  With ``clamp=True``
+    out-of-range lanes peg at the bracket ends (the hardware behaviour of
     :func:`~repro.core.temperature.estimate_temperature_clamped`);
     otherwise any out-of-range lane raises :class:`TemperatureRangeError`.
     """
-    f_t = np.asarray(f_t_measured, dtype=float)
-    if np.any(f_t <= 0.0):
-        raise ValueError("measured TSRO frequency must be positive")
-
-    shape = np.broadcast_shapes(f_t.shape, np.shape(dvtn), np.shape(dvtp))
-    f_t = np.broadcast_to(f_t, shape)
-    dvtn = np.broadcast_to(np.asarray(dvtn, dtype=float), shape)
-    dvtp = np.broadcast_to(np.asarray(dvtp, dtype=float), shape)
-
-    lo_k = celsius_to_kelvin(model.config.temp_min_c) - _RANGE_GUARD_K
-    hi_k = celsius_to_kelvin(model.config.temp_max_c) + _RANGE_GUARD_K
-
-    f_lo = tsro_frequency_batch(model, dvtn, dvtp, np.full(shape, lo_k), vdd)
-    f_hi = tsro_frequency_batch(model, dvtn, dvtp, np.full(shape, hi_k), vdd)
-    below = f_t < f_lo
-    above = f_t > f_hi
-    if not clamp and (below.any() or above.any()):
-        index = _first_lane(below | above)
-        raise TemperatureRangeError(
-            f"TSRO frequency {float(np.atleast_1d(f_t)[index])/1e6:.3f} MHz "
-            f"at lane {index} "
-            f"maps outside [{model.config.temp_min_c}, "
-            f"{model.config.temp_max_c}] degC"
-        )
-    # Clip pegged lanes into the bracket so bisection stays well defined;
-    # their results are overwritten with the pegged edge below.
-    target = np.clip(f_t, f_lo, f_hi)
-
-    lo = np.full(shape, lo_k)
-    hi = np.full(shape, hi_k)
-    # ceil(log2(range / tol)) halvings reach the tolerance everywhere.
-    steps = int(np.ceil(np.log2((hi_k - lo_k) / tolerance_k))) + 1
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        res = tsro_frequency_batch(model, dvtn, dvtp, mid, vdd) - target
-        hi = np.where(res >= 0.0, mid, hi)
-        lo = np.where(res >= 0.0, lo, mid)
-        if float(np.max(hi - lo)) <= tolerance_k:
-            break
-    temp = 0.5 * (lo + hi)
-    if clamp:
-        temp = np.where(below, lo_k, np.where(above, hi_k, temp))
-    return temp
+    (f_t, dvtn, dvtp), shape = _lanes(f_t_measured, dvtn, dvtp)
+    temp = _invert_tsro(model, f_t, dvtn, dvtp, vdd, np.full(f_t.size, 300.0), clamp)
+    return temp.reshape(shape)
 
 
 @dataclass(frozen=True)
 class BatchCalibration:
-    """Converged self-calibration state for every lane of a population.
-
-    Array twin of :class:`repro.core.calibration.CalibrationState`.
-    """
+    """Converged self-calibration state for every lane (the array form of
+    :class:`repro.core.calibration.CalibrationState`)."""
 
     dvtn: np.ndarray
     dvtp: np.ndarray
@@ -282,61 +284,52 @@ def calibrate_batch(
     lut: Optional[ProcessLut] = None,
     convergence_k: float = 0.05,
 ) -> BatchCalibration:
-    """Array twin of :meth:`SelfCalibrationEngine.run`.
+    """Self-calibrate every lane: alternate process extraction and
+    temperature inversion until the temperature fix moves less than
+    ``convergence_k``.
 
-    All lanes alternate process extraction and temperature estimation
-    together; a lane whose temperature fix moves less than
-    ``convergence_k`` freezes, exactly like the scalar per-reading loop.
+    A lane that settles stops; the others run on for up to ``rounds``
+    (``None`` = the config's value) rounds.  Each round's inversion starts
+    at the lane's previous temperature (``initial_temp_k`` at first).
 
     Raises:
         CalibrationError: If any lane exhausts the round budget while its
-            temperature iterate is still moving (and ``rounds >= 2``, the
-            same ablation escape hatch the scalar engine has).
+            temperature iterate is still moving (and ``rounds >= 2``: one
+            round is the ablation's deliberate single pass).
     """
-    f_n = np.asarray(f_n_measured, dtype=float)
-    f_p = np.asarray(f_p_measured, dtype=float)
-    f_t = np.asarray(f_t_measured, dtype=float)
+    (f_n, f_p, f_t), shape = _lanes(f_n_measured, f_p_measured, f_t_measured)
     rounds = model.config.calibration_rounds if rounds is None else rounds
+    temp_k = np.full(f_n.size, float(initial_temp_k))
+    dvtn, dvtp, moved = np.zeros(f_n.size), np.zeros(f_n.size), np.zeros(f_n.size)
+    rounds_used = np.zeros(f_n.size, dtype=int)
+    converged = np.zeros(f_n.size, dtype=bool)
 
-    shape = np.broadcast_shapes(f_n.shape, f_p.shape, f_t.shape)
-    f_n = np.broadcast_to(f_n, shape)
-    f_p = np.broadcast_to(f_p, shape)
-    f_t = np.broadcast_to(f_t, shape)
-
-    temp_k = np.full(shape, float(initial_temp_k))
-    dvtn = np.zeros(shape)
-    dvtp = np.zeros(shape)
-    converged = np.zeros(shape, dtype=bool)
-    rounds_used = np.zeros(shape, dtype=int)
-    moved = np.full(shape, np.inf)
-
+    live = np.arange(f_n.size)
     for round_index in range(1, rounds + 1):
-        active = ~converged
-        if not active.any():
-            break
-        new_dvtn, new_dvtp = extract_process_batch(
-            model, f_n, f_p, temp_k, vdd, lut=lut
+        dvtn[live], dvtp[live] = extract_process_batch(
+            model, f_n[live], f_p[live], temp_k[live], vdd, lut=lut
         )
-        new_temp = estimate_temperature_batch(model, f_t, new_dvtn, new_dvtp, vdd)
-        step = np.abs(new_temp - temp_k)
-        dvtn = np.where(active, new_dvtn, dvtn)
-        dvtp = np.where(active, new_dvtp, dvtp)
-        temp_k = np.where(active, new_temp, temp_k)
-        moved = np.where(active, step, moved)
-        rounds_used = np.where(active, round_index, rounds_used)
-        converged |= active & (step < convergence_k)
+        new_temp = _invert_tsro(
+            model, f_t[live], dvtn[live], dvtp[live], vdd, temp_k[live], clamp=False
+        )
+        moved[live] = np.abs(new_temp - temp_k[live])
+        temp_k[live] = new_temp
+        rounds_used[live] = round_index
+        settled = moved[live] < convergence_k
+        converged[live[settled]] = True
+        live = live[~settled]
+        if not live.size:
+            break
 
-    if not converged.all() and rounds >= 2:
-        worst = float(np.max(np.where(converged, 0.0, moved)))
-        count = int(np.count_nonzero(~converged))
+    if live.size and rounds >= 2:
         raise CalibrationError(
-            f"self-calibration still moving {worst:.3f} K on {count} lanes "
-            f"after {rounds} rounds"
+            f"self-calibration still moving {float(np.max(moved[live])):.3f} K "
+            f"on {live.size} lanes after {rounds} rounds"
         )
     return BatchCalibration(
-        dvtn=dvtn,
-        dvtp=dvtp,
-        temp_k=temp_k,
-        rounds_used=rounds_used,
-        converged=converged,
+        dvtn=dvtn.reshape(shape),
+        dvtp=dvtp.reshape(shape),
+        temp_k=temp_k.reshape(shape),
+        rounds_used=rounds_used.reshape(shape),
+        converged=converged.reshape(shape),
     )

@@ -13,16 +13,17 @@ order*: item ``i`` consumes three counter phases from ``sensors[i]``'s
 private stream at its turn, which is precisely what the sequential loop
 ``for i: sensors[i].read(...)`` would consume.  A sensor appearing twice
 in one batch therefore yields the same two readings as two back-to-back
-scalar reads: counter values bit-identical, estimates within the engine's
-shared tolerances (1e-3 K inversion, 1e-7 V extraction) — the golden
-property ``tests/test_serve.py`` pins for the serving path, matching the
-``read_population`` contract in ``tests/test_batch_engine.py``.
+scalar reads, counter values and estimates alike bit-identical: the
+scalar read is a one-lane call of the same calibration algorithm
+(:func:`~repro.batch.model.calibrate_batch`).  ``tests/test_serve.py``
+pins this for the serving path, matching the ``read_population``
+contract in ``tests/test_batch_engine.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +35,10 @@ from repro.batch.energy import (
 )
 from repro.batch.grid import EnvironmentGrid
 from repro.batch.model import calibrate_batch
-from repro.core.sensor import PTSensor
 from repro.units import ZERO_CELSIUS_IN_KELVIN
+
+if TYPE_CHECKING:
+    from repro.core.sensor import PTSensor
 
 
 @dataclass(frozen=True)

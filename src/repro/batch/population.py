@@ -17,7 +17,7 @@ identical sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -31,8 +31,10 @@ from repro.batch.energy import (
 from repro.batch.grid import EnvironmentGrid
 from repro.batch.model import calibrate_batch, estimate_temperature_batch
 from repro.circuits.ring_oscillator import Environment
-from repro.core.sensor import PTSensor
 from repro.units import ZERO_CELSIUS_IN_KELVIN
+
+if TYPE_CHECKING:
+    from repro.core.sensor import PTSensor
 
 _BATCH_CONVERSIONS = telemetry.counter(
     "batch.population_conversions",

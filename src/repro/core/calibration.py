@@ -16,6 +16,13 @@ process-correctable, so alternating the two estimators converges to a joint
 Convergence is geometric with ratio ~ (PSRO temperature sensitivity) x
 (TSRO inversion gain), which the ZTC bias makes ~1e-2 — two or three rounds
 suffice (ablated in experiment R-A1).
+
+The loop is written once, over lanes, in
+:func:`repro.batch.model.calibrate_batch`; :meth:`SelfCalibrationEngine.run`
+is its one-lane call, so a sensor read alone and the same counts read in a
+request batch or a population give the same bits.  The loop's two steps,
+:func:`extract_process` and :func:`estimate_temperature`, are one-lane
+calls too and are exported here beside the engine.
 """
 
 from __future__ import annotations
@@ -23,10 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.batch.model import calibrate_batch
 from repro.core.decoupler import ProcessLut, extract_process
-from repro.core.errors import CalibrationError
 from repro.core.sensing_model import SensingModel
 from repro.core.temperature import estimate_temperature
+
+__all__ = [
+    "CalibrationState",
+    "SelfCalibrationEngine",
+    "estimate_temperature",
+    "extract_process",
+]
 
 
 @dataclass(frozen=True)
@@ -92,32 +106,21 @@ class SelfCalibrationEngine:
                 temperature iterate is still moving by more than the
                 convergence threshold.
         """
-        rounds = self.model.config.calibration_rounds if rounds is None else rounds
-        temp_k = initial_temp_k
-        dvtn = dvtp = 0.0
-        converged = False
-        rounds_used = 0
-        for rounds_used in range(1, rounds + 1):
-            dvtn, dvtp = extract_process(
-                self.model, f_n_measured, f_p_measured, temp_k, vdd, lut=self.lut
-            )
-            new_temp_k = estimate_temperature(
-                self.model, f_t_measured, dvtn, dvtp, vdd
-            )
-            moved = abs(new_temp_k - temp_k)
-            temp_k = new_temp_k
-            if moved < self.convergence_k:
-                converged = True
-                break
-        if not converged and rounds >= 2:
-            raise CalibrationError(
-                f"self-calibration still moving {moved:.3f} K after "
-                f"{rounds_used} rounds"
-            )
+        state = calibrate_batch(
+            self.model,
+            f_n_measured,
+            f_p_measured,
+            f_t_measured,
+            vdd=vdd,
+            initial_temp_k=initial_temp_k,
+            rounds=rounds,
+            lut=self.lut,
+            convergence_k=self.convergence_k,
+        )
         return CalibrationState(
-            dvtn=dvtn,
-            dvtp=dvtp,
-            temp_k=temp_k,
-            rounds_used=rounds_used,
-            converged=converged,
+            dvtn=float(state.dvtn),
+            dvtp=float(state.dvtp),
+            temp_k=float(state.temp_k),
+            rounds_used=int(state.rounds_used),
+            converged=bool(state.converged),
         )

@@ -9,7 +9,9 @@ silicon stores a characterisation grid and interpolates.
 Because the sensitivity matrix is diagonally dominant by construction
 (PSRO-N barely sees V_tp and vice versa — experiment R-F2), Newton from the
 LUT seed converges in a handful of iterations everywhere inside the
-characterised box.
+characterised box.  The Newton refinement is written once, over lanes, in
+:func:`repro.batch.model.extract_process_batch`; :func:`extract_process`
+is its one-lane call.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.errors import ExtractionDivergedError
+from repro.batch.model import extract_process_batch
 from repro.core.sensing_model import SensingModel
 
 
@@ -67,13 +69,21 @@ class ProcessLut:
                 )
         return cls(dvtn_axis=axis, dvtp_axis=axis.copy(), f_n_grid=f_n, f_p_grid=f_p)
 
+    def seed_lanes(
+        self, f_n: np.ndarray, f_p: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Nearest grid point in relative-frequency distance, per lane of
+        the flat arrays ``f_n`` and ``f_p``."""
+        err_n = (self.f_n_grid - f_n[:, None, None]) / self.f_n_grid
+        err_p = (self.f_p_grid - f_p[:, None, None]) / self.f_p_grid
+        cost = (err_n**2 + err_p**2).reshape(f_n.size, -1)
+        i, j = np.unravel_index(np.argmin(cost, axis=1), self.f_n_grid.shape)
+        return self.dvtn_axis[i], self.dvtp_axis[j]
+
     def seed(self, f_n: float, f_p: float) -> Tuple[float, float]:
         """Nearest grid point in relative-frequency distance."""
-        err_n = (self.f_n_grid - f_n) / self.f_n_grid
-        err_p = (self.f_p_grid - f_p) / self.f_p_grid
-        cost = err_n**2 + err_p**2
-        i, j = np.unravel_index(int(np.argmin(cost)), cost.shape)
-        return float(self.dvtn_axis[i]), float(self.dvtp_axis[j])
+        dvtn, dvtp = self.seed_lanes(np.array([f_n], float), np.array([f_p], float))
+        return float(dvtn[0]), float(dvtp[0])
 
 
 def extract_process(
@@ -84,9 +94,10 @@ def extract_process(
     vdd: Optional[float] = None,
     lut: Optional[ProcessLut] = None,
     iterations: Optional[int] = None,
-    tolerance_hz: float = 1.0,
 ) -> Tuple[float, float]:
     """Extract (dV_tn, dV_tp) from measured process-ring frequencies.
+
+    One lane of :func:`repro.batch.model.extract_process_batch`.
 
     Args:
         model: The design-time sensing model.
@@ -98,7 +109,6 @@ def extract_process(
             from the typical point (0, 0), which also converges but models
             a LUT-less (cheaper, slower-locking) implementation.
         iterations: Newton iteration budget (``None`` = the config's value).
-        tolerance_hz: Early-exit threshold on the frequency residual.
 
     Returns:
         The extracted ``(dvtn, dvtp)`` in volts.
@@ -106,41 +116,7 @@ def extract_process(
     Raises:
         ExtractionDivergedError: If the iterate leaves the characterised box.
     """
-    if f_n_measured <= 0.0 or f_p_measured <= 0.0:
-        raise ValueError("measured frequencies must be positive")
-    iterations = model.config.newton_iterations if iterations is None else iterations
-
-    if lut is not None:
-        dvtn, dvtp = lut.seed(f_n_measured, f_p_measured)
-    else:
-        dvtn, dvtp = 0.0, 0.0
-
-    target = np.array([f_n_measured, f_p_measured])
-    for _ in range(iterations):
-        f_model = np.array(model.process_frequencies(dvtn, dvtp, temp_k, vdd))
-        residual = f_model - target
-        if np.max(np.abs(residual)) < tolerance_hz:
-            break
-        jac = model.process_jacobian(dvtn, dvtp, temp_k, vdd)
-        try:
-            step = np.linalg.solve(jac, residual)
-        except np.linalg.LinAlgError as exc:
-            raise ExtractionDivergedError(
-                f"singular sensitivity matrix at dvtn={dvtn:.4f}, dvtp={dvtp:.4f}"
-            ) from exc
-        dvtn -= float(step[0])
-        dvtp -= float(step[1])
-        # Clamp to a slightly inflated box so a final iteration may pull a
-        # borderline iterate back inside before we declare divergence.
-        margin = 1.5 * model.vt_box
-        if abs(dvtn) > margin or abs(dvtp) > margin:
-            raise ExtractionDivergedError(
-                f"iterate left the characterised box: dvtn={dvtn:.4f}, dvtp={dvtp:.4f}"
-            )
-
-    if not model.inside_box(dvtn, dvtp):
-        raise ExtractionDivergedError(
-            f"extraction settled outside the characterised box: "
-            f"dvtn={dvtn:.4f}, dvtp={dvtp:.4f}"
-        )
-    return dvtn, dvtp
+    dvtn, dvtp = extract_process_batch(
+        model, f_n_measured, f_p_measured, temp_k, vdd, lut=lut, iterations=iterations
+    )
+    return float(dvtn), float(dvtp)

@@ -25,11 +25,9 @@ the paper's machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.circuits.ring_oscillator import Environment
 from repro.core.sensing_model import SensingModel
-from repro.variation.corners import monte_carlo_corner
+from repro.variation import corners
 
 
 @dataclass(frozen=True)
@@ -58,19 +56,9 @@ class DriftAnchoredModel(SensingModel):
             anchor_dvtp=anchor_dvtp,
         )
 
-    def environment(
-        self, dvtn: float, dvtp: float, temp_k: float, vdd: Optional[float] = None
-    ) -> Environment:
-        """Model environment: anchored mobility, current thresholds."""
-        corner = monte_carlo_corner(self.anchor_dvtn, self.anchor_dvtp)
-        return Environment(
-            temp_k=temp_k,
-            vdd=self.technology.vdd if vdd is None else vdd,
-            dvtn=dvtn,
-            dvtp=dvtp,
-            mun_scale=corner.mun_scale,
-            mup_scale=corner.mup_scale,
-        )
+    def mobility_scales(self, dvtn, dvtp):
+        """Mobility coupled to the anchor, whatever the current thresholds."""
+        return corners.mobility_scales(self.anchor_dvtn, self.anchor_dvtp)
 
     def drift_from(self, dvtn: float, dvtp: float) -> tuple:
         """Aging drift implied by a current extraction, volts."""

@@ -16,7 +16,11 @@ One physical subtlety is encoded here: the model cannot observe mobility
 independently, so it assumes the foundry's standard threshold-mobility
 coupling (a fast-V_t die is also a high-mobility die).  Dies that violate
 the coupling contribute residual error — part of the paper's error budget,
-not a free lunch.
+not a free lunch.  :meth:`SensingModel.mobility_scales` is the one place
+the coupling is written: the scalar :meth:`~SensingModel.environment` and
+the array grids of :mod:`repro.batch.model` both read it, so a subclass
+that changes it (:class:`~repro.core.drift.DriftAnchoredModel`) holds on
+every path.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from repro.circuits.oscillator_bank import OscillatorBank, build_oscillator_bank
 from repro.circuits.ring_oscillator import Environment
 from repro.config import SensorConfig
 from repro.device.technology import Technology
-from repro.variation.corners import monte_carlo_corner
+from repro.variation import corners
 
 
 @dataclass(frozen=True)
@@ -63,23 +67,27 @@ class SensingModel:
         """The typical oscillator bank the model is characterised from."""
         return self._bank
 
-    def environment(
-        self, dvtn: float, dvtp: float, temp_k: float, vdd: Optional[float] = None
-    ) -> Environment:
-        """Typical-die environment at a hypothetical process point.
+    def mobility_scales(self, dvtn, dvtp):
+        """``(mun_scale, mup_scale)`` the model assumes at a process point.
 
         Mobility is tied to threshold through the foundry coupling (see
         module docstring); the calibration logic has no independent
-        mobility observable.
+        mobility observable.  Array-safe: the batch grids pass arrays.
         """
-        corner = monte_carlo_corner(dvtn, dvtp)
+        return corners.mobility_scales(dvtn, dvtp)
+
+    def environment(
+        self, dvtn: float, dvtp: float, temp_k: float, vdd: Optional[float] = None
+    ) -> Environment:
+        """Typical-die environment at a hypothetical process point."""
+        mun, mup = self.mobility_scales(dvtn, dvtp)
         return Environment(
             temp_k=temp_k,
             vdd=self.technology.vdd if vdd is None else vdd,
             dvtn=dvtn,
             dvtp=dvtp,
-            mun_scale=corner.mun_scale,
-            mup_scale=corner.mup_scale,
+            mun_scale=float(mun),
+            mup_scale=float(mup),
         )
 
     def process_frequencies(
@@ -133,6 +141,6 @@ class SensingModel:
             return np.inf
         return float(diag / off)
 
-    def inside_box(self, dvtn: float, dvtp: float) -> bool:
-        """Whether a process point lies inside the characterised box."""
-        return abs(dvtn) <= self.vt_box and abs(dvtp) <= self.vt_box
+    def inside_box(self, dvtn, dvtp):
+        """Whether process points lie inside the characterised box (array-safe)."""
+        return (np.abs(dvtn) <= self.vt_box) & (np.abs(dvtp) <= self.vt_box)

@@ -5,23 +5,19 @@ the die's thresholds — an uncorrected TSRO is a bad thermometer (experiment
 R-F4's "before" curve).  With the extracted (dV_tn, dV_tp) plugged into the
 typical model, the model's f_TSRO(T) curve becomes die-specific and can be
 inverted for temperature.  The curve is strictly monotone increasing in T
-over any physical range, so bracketed root finding is exact and robust.
+over any physical range, so the guard-banded range brackets the root and a
+Newton search on ``ln f`` inside that bracket is exact and robust.  The
+search is written once, over lanes, in
+:func:`repro.batch.model.estimate_temperature_batch`; the functions here
+are its one-lane calls.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from scipy import optimize
-
-from repro.core.errors import TemperatureRangeError
+from repro.batch.model import estimate_temperature_batch
 from repro.core.sensing_model import SensingModel
-from repro.units import celsius_to_kelvin
-
-# How far beyond the specified range the estimator searches before
-# declaring the reading out of range.  Sensors report slightly beyond spec
-# rather than failing at the boundary.
-_RANGE_GUARD_K = 15.0
 
 
 def estimate_temperature(
@@ -30,7 +26,6 @@ def estimate_temperature(
     dvtn: float,
     dvtp: float,
     vdd: Optional[float] = None,
-    tolerance_k: float = 1e-4,
 ) -> float:
     """Invert the die-corrected TSRO curve for temperature.
 
@@ -40,7 +35,6 @@ def estimate_temperature(
         dvtn: Extracted NMOS threshold shift of the die, volts.
         dvtp: Extracted PMOS threshold-magnitude shift, volts.
         vdd: Supply during the measurement (``None`` = nominal).
-        tolerance_k: Root-finding tolerance in kelvin.
 
     Returns:
         The estimated junction temperature in kelvin.
@@ -49,22 +43,7 @@ def estimate_temperature(
         TemperatureRangeError: If the reading falls outside the specified
             range (plus a small guard band).
     """
-    if f_t_measured <= 0.0:
-        raise ValueError("measured TSRO frequency must be positive")
-
-    lo = celsius_to_kelvin(model.config.temp_min_c) - _RANGE_GUARD_K
-    hi = celsius_to_kelvin(model.config.temp_max_c) + _RANGE_GUARD_K
-
-    def residual(temp_k: float) -> float:
-        return model.tsro_frequency(dvtn, dvtp, temp_k, vdd) - f_t_measured
-
-    res_lo, res_hi = residual(lo), residual(hi)
-    if res_lo > 0.0 or res_hi < 0.0:
-        raise TemperatureRangeError(
-            f"TSRO frequency {f_t_measured/1e6:.3f} MHz maps outside "
-            f"[{model.config.temp_min_c}, {model.config.temp_max_c}] degC"
-        )
-    return float(optimize.brentq(residual, lo, hi, xtol=tolerance_k))
+    return float(estimate_temperature_batch(model, f_t_measured, dvtn, dvtp, vdd))
 
 
 def estimate_temperature_clamped(
@@ -80,11 +59,6 @@ def estimate_temperature_clamped(
     sensors with large uncorrected process error need this behaviour to be
     evaluated across the full range at all.
     """
-    try:
-        return estimate_temperature(model, f_t_measured, dvtn, dvtp, vdd)
-    except TemperatureRangeError:
-        lo = celsius_to_kelvin(model.config.temp_min_c) - _RANGE_GUARD_K
-        f_lo = model.tsro_frequency(dvtn, dvtp, lo, vdd)
-        if f_t_measured < f_lo:
-            return lo
-        return celsius_to_kelvin(model.config.temp_max_c) + _RANGE_GUARD_K
+    return float(
+        estimate_temperature_batch(model, f_t_measured, dvtn, dvtp, vdd, clamp=True)
+    )

@@ -518,8 +518,10 @@ class AsyncEdgeClient(_ClientCore):
         self._write_lock: Optional[asyncio.Lock] = None
 
     async def connect(self) -> "AsyncEdgeClient":
+        # asyncio's default 64 KiB line limit would drop any longer answer;
+        # size it from the longest line the protocol allows.
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=protocol.MAX_LINE_BYTES
         )
         self._write_lock = asyncio.Lock()
         self._reader_task = asyncio.ensure_future(self._read_loop())

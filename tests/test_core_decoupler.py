@@ -63,6 +63,13 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_process(model, -1.0, 1e8, 300.0, lut=lut)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_frequency_diverges_instead_of_settling(self, model, lut):
+        """A NaN residual is never 'below 1 Hz': Newton must not stop on it."""
+        _, f_p = model.process_frequencies(0.01, 0.01, 300.0)
+        with pytest.raises(ExtractionDivergedError):
+            extract_process(model, float("nan"), f_p, 300.0, lut=lut)
+
     def test_diverges_outside_box(self, model, lut):
         """Frequencies of a die far beyond the box must raise, not lie."""
         f_n, f_p = model.process_frequencies(0.079, 0.079, 300.0)

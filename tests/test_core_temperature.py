@@ -46,6 +46,13 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_temperature(model, 0.0, 0.0, 0.0)
 
+    def test_rejects_nan_frequency(self, model):
+        """NaN compares false both ways; it must not bisect to a range edge."""
+        with pytest.raises(ValueError):
+            estimate_temperature(model, float("nan"), 0.0, 0.0)
+        with pytest.raises(ValueError):
+            estimate_temperature_clamped(model, float("nan"), 0.0, 0.0)
+
     @settings(
         max_examples=25,
         deadline=None,

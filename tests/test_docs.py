@@ -46,6 +46,7 @@ _STALE_APIS = (
     "EdgeConfig.worker_configs",
     "WorkerConfig.serve_config",
     "AsyncFleetClient",
+    "process_jacobian_batch",
 )
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")

@@ -1116,6 +1116,53 @@ class TestClientPartialResponse:
         assert info.value.retryable is True
 
 
+class _LongAnswerServer(_TruncatingServer):
+    """Answers each NDJSON op with an ok line carrying a long field."""
+
+    PAD_BYTES = 100_000
+
+    def run(self):
+        while True:
+            try:
+                conn, _addr = self.listener.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rb") as lines:
+                try:
+                    for line in lines:
+                        answer = {
+                            "id": json.loads(line)["id"],
+                            "ok": True,
+                            "pad": "x" * self.PAD_BYTES,
+                        }
+                        conn.sendall(json.dumps(answer).encode() + b"\n")
+                except OSError:
+                    pass
+
+
+@pytest.fixture()
+def long_answer_server():
+    server = _LongAnswerServer()
+    server.start()
+    yield server
+    server.stop()
+
+
+class TestClientLongAnswer:
+    # An answer line past asyncio's default 64 KiB reader limit, but
+    # within protocol.MAX_LINE_BYTES, reads alike on both clients.
+    def test_both_clients_read_a_100_kb_answer(self, long_answer_server):
+        port = long_answer_server.port
+        with EdgeClient("127.0.0.1", port) as client:
+            assert len(client.ping()["pad"]) == _LongAnswerServer.PAD_BYTES
+
+        async def go():
+            async with AsyncEdgeClient("127.0.0.1", port) as client:
+                return await client.ping()
+
+        assert len(asyncio.run(go())["pad"]) == _LongAnswerServer.PAD_BYTES
+
+
 # ------------------------------------------------- coalesced worker IPC
 
 
