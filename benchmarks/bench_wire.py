@@ -36,6 +36,7 @@ from repro.edge.worker import WorkerConfig
 from repro.serve.requests import ReadRequest
 
 CODEC_MESSAGES = 2000
+CODEC_REPEATS = 5  # interleaved NDJSON/binary rounds; each arm keeps its best
 MIN_CODEC_ADVANTAGE = 2.0  # NDJSON cost / binary cost per exchange
 MIN_IPC_COALESCING = 3.0  # routed reads per pipe message
 ROOT_SEED = 2012
@@ -101,27 +102,34 @@ def _decode_frame(blob: bytes) -> dict:
     return protocol.decode_frame_body(kind, blob[protocol.FRAME_HEADER_SIZE :])
 
 
-def _encode_cost_s(encode, payloads, repeats: int = 3) -> float:
-    """Best-of-``repeats`` per-message encode cost in seconds."""
-    best = float("inf")
+def _alternating_best_of(arms, repeats: int = CODEC_REPEATS):
+    """Each arm's best time, running the arms in turn ``repeats`` times.
+
+    The host changes speed in spells; interleaving the arms repeat by
+    repeat lets a slow spell cost both arms alike instead of one.
+    """
+    best = [float("inf")] * len(arms)
     for _ in range(repeats):
-        started = time.perf_counter()
-        for payload in payloads:
-            encode(payload)
-        best = min(best, time.perf_counter() - started)
-    return best / len(payloads)
+        for index, fn in enumerate(arms):
+            started = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - started)
+    return best
 
 
-def _decode_cost_s(encode, decode, payloads, repeats: int = 3) -> float:
-    """Best-of-``repeats`` per-message decode cost in seconds."""
-    blobs = [encode(p) for p in payloads]
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
+def _exchanges(encode, decode, requests, answers):
+    """The server's per-exchange work over every message: decode the
+    inbound read, encode the outbound answer.  (The client does the
+    mirror image.)"""
+    blobs = [encode(request) for request in requests]
+
+    def run():
         for blob in blobs:
             decode(blob)
-        best = min(best, time.perf_counter() - started)
-    return best / len(payloads)
+        for answer in answers:
+            encode(answer)
+
+    return run
 
 
 def _metric(name: str):
@@ -150,12 +158,14 @@ def test_binary_exchange_at_least_twice_as_cheap_as_ndjson():
     requests = [_read_payload(i) for i in range(CODEC_MESSAGES)]
     answers = [_answer_payload(i) for i in range(CODEC_MESSAGES)]
 
-    # The server's per-exchange work: decode the inbound read, encode
-    # the outbound answer.  (The client does the mirror image.)
-    ndjson = _decode_cost_s(protocol.encode, protocol.decode_line, requests)
-    ndjson += _encode_cost_s(protocol.encode, answers)
-    binary = _decode_cost_s(protocol.encode_frame, _decode_frame, requests)
-    binary += _encode_cost_s(protocol.encode_frame, answers)
+    ndjson, binary = _alternating_best_of(
+        (
+            _exchanges(protocol.encode, protocol.decode_line, requests, answers),
+            _exchanges(protocol.encode_frame, _decode_frame, requests, answers),
+        )
+    )
+    ndjson /= CODEC_MESSAGES
+    binary /= CODEC_MESSAGES
 
     advantage = ndjson / binary
     print(

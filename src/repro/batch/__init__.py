@@ -10,9 +10,11 @@ a handful of ufunc passes:
 
 * :class:`EnvironmentGrid` — broadcastable grids of operating points;
 * :mod:`~repro.batch.device` — EKV drain currents over grids;
-* :mod:`~repro.batch.stages` — the four stage-delay kernels (extensible
-  via :func:`register_delay_kernel`);
-* :mod:`~repro.batch.bank` — ring/bank frequencies over grids;
+* :mod:`~repro.batch.stages` — stage designs compiled once into delay
+  kernels (the four stage flavours; extensible via
+  :func:`register_delay_kernel`);
+* :mod:`~repro.batch.bank` — ring/bank frequencies over grids, each ring
+  through the kernel it compiled on first use;
 * :mod:`~repro.batch.model` — the self-calibration algorithm itself,
   written once over lanes (Newton extraction, temperature inversion, the
   round loop); the scalar ``repro.core`` entry points are its one-lane

@@ -1,4 +1,12 @@
-"""Batch evaluation of ring oscillators and whole oscillator banks."""
+"""Batch evaluation of ring oscillators and whole oscillator banks.
+
+Every ring evaluates through its design's compiled
+:class:`~repro.batch.stages.StageKernel`.  A :class:`RingOscillator` keeps
+its kernel from its first evaluation on (:func:`ring_kernel`), so the
+three model rings, which a self-calibration evaluates about twenty times
+per conversion, size their devices once per
+:class:`~repro.core.sensing_model.SensingModel`.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +15,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.batch.grid import EnvironmentGrid
-from repro.batch.stages import stage_delays_batch
+from repro.batch.stages import StageKernel, compile_stage
 from repro.circuits.inverter import StageModel, load_capacitance_cached
 from repro.circuits.oscillator_bank import BankFrequencies, OscillatorBank
 from repro.circuits.ring_oscillator import _SHORT_CIRCUIT_FACTOR, RingOscillator
 from repro.device.technology import Technology
+
+
+def design_kernel(stage: StageModel, technology: Technology) -> StageKernel:
+    """The compiled kernel of a stage design in a technology."""
+    return compile_stage(
+        stage,
+        technology.nmos,
+        technology.pmos,
+        load_capacitance_cached(stage, technology),
+    )
+
+
+def ring_kernel(osc: RingOscillator) -> StageKernel:
+    """The compiled kernel of ``osc``'s design, built on first use and kept
+    on the (frozen) instance, like a model's derived bank.  Two threads
+    that race here build equal kernels, and either may be kept."""
+    kernel = osc.__dict__.get("_kernel")
+    if kernel is None:
+        kernel = design_kernel(osc.stage, osc.technology)
+        object.__setattr__(osc, "_kernel", kernel)
+    return kernel
+
+
+def _period(
+    kernel: StageKernel, stages: int, grid: EnvironmentGrid, vtn_offset, vtp_offset
+) -> np.ndarray:
+    t_rise, t_fall = kernel.delays(grid, grid.dvtn + vtn_offset, grid.dvtp + vtp_offset)
+    return stages * (t_rise + t_fall)
 
 
 def ring_period_batch(
@@ -28,13 +64,9 @@ def ring_period_batch(
     *population* of rings (one frozen mismatch offset per die) evaluates in
     a single call.
     """
-    load = load_capacitance_cached(stage, technology)
-    dvtn = grid.dvtn + vtn_offset
-    dvtp = grid.dvtp + vtp_offset
-    t_rise, t_fall = stage_delays_batch(
-        stage, technology.nmos, technology.pmos, grid, dvtn, dvtp, load
+    return _period(
+        design_kernel(stage, technology), stages, grid, vtn_offset, vtp_offset
     )
-    return stages * (t_rise + t_fall)
 
 
 def ring_frequency_batch(
@@ -53,9 +85,7 @@ def ring_frequency_batch(
 
 def oscillator_period_batch(osc: RingOscillator, grid: EnvironmentGrid) -> np.ndarray:
     """Array twin of :meth:`RingOscillator.period` over a grid."""
-    return ring_period_batch(
-        osc.stage, osc.stages, osc.technology, grid, osc.vtn_offset, osc.vtp_offset
-    )
+    return _period(ring_kernel(osc), osc.stages, grid, osc.vtn_offset, osc.vtp_offset)
 
 
 def oscillator_frequency_batch(osc: RingOscillator, grid: EnvironmentGrid) -> np.ndarray:
@@ -69,7 +99,7 @@ def oscillator_power_batch(
     """Array twin of :meth:`RingOscillator.power` over a grid."""
     if frequency is None:
         frequency = oscillator_frequency_batch(osc, grid)
-    load = load_capacitance_cached(osc.stage, osc.technology)
+    load = ring_kernel(osc).load_cap
     return (
         _SHORT_CIRCUIT_FACTOR * osc.stages * load * grid.vdd * grid.vdd * frequency
     )

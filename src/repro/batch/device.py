@@ -7,7 +7,8 @@ grids in a handful of ufunc operations.  The device *geometry* stays scalar
 shift, the mobility scale, the bias voltages and the temperature — so those
 enter as broadcastable ``dvt`` / ``mu_scale`` / voltage / temperature
 arrays instead of per-point ``dataclasses.replace`` copies of
-:class:`~repro.device.mosfet.MosfetParams`.
+:class:`~repro.device.mosfet.MosfetParams`.  A series stack's equivalent
+device is geometry too: :class:`StackedDevice` builds it once.
 
 Every formula mirrors the scalar model line for line; the golden
 equivalence tests in ``tests/test_batch_engine.py`` pin the two paths
@@ -16,7 +17,7 @@ together to ~1e-12 relative.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,28 +83,57 @@ def drain_current_batch(
     return specific_current_batch(params, temp_k, mu_scale) * (i_f - i_r) / vsat
 
 
+@dataclass(frozen=True)
+class StackedDevice:
+    """A series stack of identical devices, reduced once to one device.
+
+    Mirrors :func:`repro.device.stack.series_stack_params`: the equivalent
+    device has length ``count * L`` and weaker velocity saturation, both
+    fixed geometry; the weak-inversion threshold lift of
+    ``1.5 (count-1) U_T`` is temperature dependent, so :meth:`current`
+    folds it into the array-valued ``dvt``.  A one-device "stack" is the
+    device itself.
+
+    Attributes:
+        params: The equivalent single device.
+        lift_ut: Its threshold lift in thermal voltages (0 for one device).
+    """
+
+    params: MosfetParams
+    lift_ut: float = 0.0
+
+    @classmethod
+    def of(cls, params: MosfetParams, count: int = 1) -> "StackedDevice":
+        """The equivalent of ``count`` series copies of ``params``."""
+        if count < 1:
+            raise ValueError("stack count must be >= 1")
+        if count == 1:
+            return cls(params)
+        equivalent = replace(
+            params,
+            length=params.length * count,
+            lambda_c=params.lambda_c / count,
+        )
+        return cls(equivalent, _STACK_EFFECT_UT_PER_DEVICE * (count - 1))
+
+    def current(self, vgs, vds, temp_k, dvt=0.0, mu_scale=1.0) -> np.ndarray:
+        """Drain current of the stack over a grid (arguments as
+        :func:`drain_current_batch`)."""
+        if self.lift_ut:
+            dvt = dvt + self.lift_ut * thermal_voltage_batch(temp_k)
+        return drain_current_batch(
+            self.params, vgs, vds, temp_k, dvt=dvt, mu_scale=mu_scale
+        )
+
+
 def series_stack_current_batch(
     params: MosfetParams, count: int, vgs, vds, temp_k, dvt=0.0, mu_scale=1.0
 ) -> np.ndarray:
     """Drain current of a ``count``-deep series stack over a grid.
 
-    Mirrors :func:`repro.device.stack.series_stack_current`: the equivalent
-    device has length ``count * L``, weaker velocity saturation, and a
-    weak-inversion threshold lift of ``1.5 (count-1) U_T`` — the lift is
-    temperature dependent, so it folds into the array-valued ``dvt``.
+    Mirrors :func:`repro.device.stack.series_stack_current`; see
+    :class:`StackedDevice`, which a compiled stage holds instead.
     """
-    if count < 1:
-        raise ValueError("stack count must be >= 1")
-    if count == 1:
-        return drain_current_batch(
-            params, vgs, vds, temp_k, dvt=dvt, mu_scale=mu_scale
-        )
-    vt_lift = _STACK_EFFECT_UT_PER_DEVICE * (count - 1) * thermal_voltage_batch(temp_k)
-    equivalent = replace(
-        params,
-        length=params.length * count,
-        lambda_c=params.lambda_c / count,
-    )
-    return drain_current_batch(
-        equivalent, vgs, vds, temp_k, dvt=dvt + vt_lift, mu_scale=mu_scale
+    return StackedDevice.of(params, count).current(
+        vgs, vds, temp_k, dvt=dvt, mu_scale=mu_scale
     )

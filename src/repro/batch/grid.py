@@ -24,6 +24,20 @@ def _as_float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def check_grid_values(temp_k=None, vdd=None) -> None:
+    """The temperature and supply checks of a validated grid, on the fields
+    given: for callers that build unchecked grids and check their outside
+    input once instead.
+
+    Raises:
+        ValueError: On a non-positive temperature or supply.
+    """
+    if temp_k is not None and np.any(temp_k <= 0.0):
+        raise ValueError("all temperatures must be positive kelvin")
+    if vdd is not None and np.any(vdd <= 0.0):
+        raise ValueError("all vdd values must be positive")
+
+
 @dataclass(frozen=True)
 class EnvironmentGrid:
     """A broadcastable grid of circuit operating points.
@@ -54,12 +68,28 @@ class EnvironmentGrid:
         # Fails loudly (and early) on incompatible shapes.
         shape = self.shape
         del shape
-        if np.any(self.temp_k <= 0.0):
-            raise ValueError("all temperatures must be positive kelvin")
-        if np.any(self.vdd <= 0.0):
-            raise ValueError("all vdd values must be positive")
+        check_grid_values(self.temp_k, self.vdd)
         if np.any(self.mun_scale <= 0.0) or np.any(self.mup_scale <= 0.0):
             raise ValueError("all mobility scales must be positive")
+
+    @classmethod
+    def _unchecked(
+        cls, temp_k, vdd, dvtn, dvtp, mun_scale, mup_scale
+    ) -> "EnvironmentGrid":
+        """A grid of broadcastable float arrays, taken as they are: for a
+        solver's inner loop, which builds one per model call from arrays it
+        made itself after checking its outside input once
+        (:func:`check_grid_values`)."""
+        grid = object.__new__(cls)
+        grid.__dict__.update(
+            temp_k=temp_k,
+            vdd=vdd,
+            dvtn=dvtn,
+            dvtp=dvtp,
+            mun_scale=mun_scale,
+            mup_scale=mup_scale,
+        )
+        return grid
 
     @property
     def shape(self) -> Tuple[int, ...]:

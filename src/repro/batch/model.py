@@ -16,6 +16,14 @@ whose logarithm is nearly linear in temperature, inverts by Newton on
 range bracket with bisection as the fallback; and every round and
 iteration runs only the lanes still moving.  The scalar frequency model of
 :mod:`repro.circuits` stays the physics reference the tests check against.
+
+Each model call is kept to its arithmetic.  The model's rings evaluate
+through the kernels they compiled on first use
+(:func:`~repro.batch.bank.ring_kernel`), so no device is rebuilt per call,
+and the solvers check their outside input (temperatures, supply) once per
+public call, with a validated grid's error text, then build the grid of
+each model call unchecked.  Every ring evaluation goes through the module
+global :func:`~repro.batch.bank.oscillator_frequency_batch`.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.batch.bank import oscillator_frequency_batch
-from repro.batch.grid import EnvironmentGrid
+from repro.batch.grid import EnvironmentGrid, check_grid_values
 from repro.core.errors import (
     CalibrationError,
     ExtractionDivergedError,
@@ -62,30 +70,51 @@ def _lanes(*values):
     return [np.broadcast_to(array, shape).ravel() for array in arrays], shape
 
 
+def _supply(model: SensingModel, vdd: Optional[float]) -> np.ndarray:
+    """The supply a model call assumes (``None`` = nominal), held as a
+    grid holds it."""
+    return np.asarray(model.technology.vdd if vdd is None else vdd, dtype=float)
+
+
 def _model_grid(
-    model: SensingModel, dvtn, dvtp, temp_k, vdd: Optional[float]
+    model: SensingModel, dvtn, dvtp, temp_k, vdd, checked: bool = False
 ) -> EnvironmentGrid:
     """Typical-die grid at hypothetical process points: the array form of
-    :meth:`SensingModel.environment`, mobility from the model's hook."""
+    :meth:`SensingModel.environment`, mobility from the model's hook.
+
+    The one-call public functions build a validated grid (``checked``).
+    The solvers build one per model call from lanes they made themselves,
+    so they check their outside input once per public call
+    (:func:`~repro.batch.grid.check_grid_values`) and skip the rest.
+    """
     mun, mup = model.mobility_scales(dvtn, dvtp)
-    return EnvironmentGrid.of(
-        temp_k=temp_k,
-        vdd=model.technology.vdd if vdd is None else vdd,
-        dvtn=dvtn,
-        dvtp=dvtp,
-        mun_scale=mun,
-        mup_scale=mup,
+    make = EnvironmentGrid.of if checked else EnvironmentGrid._unchecked
+    return make(temp_k, vdd, dvtn, dvtp, mun, mup)
+
+
+def _process_frequencies(
+    model: SensingModel, dvtn, dvtp, temp_k, vdd, checked: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    grid = _model_grid(model, dvtn, dvtp, temp_k, vdd, checked)
+    return (
+        oscillator_frequency_batch(model.bank.psro_n, grid),
+        oscillator_frequency_batch(model.bank.psro_p, grid),
     )
+
+
+def _tsro_frequency(
+    model: SensingModel, dvtn, dvtp, temp_k, vdd, checked: bool = False
+) -> np.ndarray:
+    grid = _model_grid(model, dvtn, dvtp, temp_k, vdd, checked)
+    return oscillator_frequency_batch(model.bank.tsro, grid)
 
 
 def process_frequencies_batch(
     model: SensingModel, dvtn, dvtp, temp_k, vdd: Optional[float] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Model (f_PSRO-N, f_PSRO-P) arrays at process-point arrays."""
-    grid = _model_grid(model, dvtn, dvtp, temp_k, vdd)
-    return (
-        oscillator_frequency_batch(model.bank.psro_n, grid),
-        oscillator_frequency_batch(model.bank.psro_p, grid),
+    return _process_frequencies(
+        model, dvtn, dvtp, temp_k, _supply(model, vdd), checked=True
     )
 
 
@@ -93,8 +122,7 @@ def tsro_frequency_batch(
     model: SensingModel, dvtn, dvtp, temp_k, vdd: Optional[float] = None
 ) -> np.ndarray:
     """Model TSRO frequency array at process-point arrays."""
-    grid = _model_grid(model, dvtn, dvtp, temp_k, vdd)
-    return oscillator_frequency_batch(model.bank.tsro, grid)
+    return _tsro_frequency(model, dvtn, dvtp, temp_k, _supply(model, vdd), checked=True)
 
 
 def extract_process_batch(
@@ -122,6 +150,8 @@ def extract_process_batch(
     (f_n, f_p, temp_k), shape = _lanes(f_n_measured, f_p_measured, temp_k)
     if np.any(f_n <= 0.0) or np.any(f_p <= 0.0):
         raise ValueError("measured frequencies must be positive")
+    vdd = _supply(model, vdd)
+    check_grid_values(temp_k, vdd)
     iterations = model.config.newton_iterations if iterations is None else iterations
     if lut is not None:
         dvtn, dvtp = lut.seed_lanes(f_n, f_p)
@@ -133,7 +163,7 @@ def extract_process_batch(
     live = np.arange(f_n.size)
     for _ in range(iterations):
         n, p = dvtn[live], dvtp[live]
-        fn, fp = process_frequencies_batch(
+        fn, fp = _process_frequencies(
             model,
             np.concatenate((n, n + delta, n - delta, n, n)),
             np.concatenate((p, p, p, p + delta, p - delta)),
@@ -188,12 +218,14 @@ def _invert_tsro(model, f_t, dvtn, dvtp, vdd, start_k, clamp: bool) -> np.ndarra
     """
     if not np.all(f_t > 0.0):
         raise ValueError("measured TSRO frequency must be positive")
+    vdd = _supply(model, vdd)
+    check_grid_values(vdd=vdd)
     lo_k = celsius_to_kelvin(model.config.temp_min_c) - RANGE_GUARD_K
     hi_k = celsius_to_kelvin(model.config.temp_max_c) + RANGE_GUARD_K
     size = f_t.size
     t = np.clip(start_k, lo_k, hi_k)
     ends = np.repeat((lo_k, hi_k), size)
-    f = tsro_frequency_batch(
+    f = _tsro_frequency(
         model,
         np.tile(dvtn, 4),
         np.tile(dvtp, 4),
@@ -227,7 +259,7 @@ def _invert_tsro(model, f_t, dvtn, dvtp, vdd, start_k, clamp: bool) -> np.ndarra
         if not live.size:
             break
         ln_f = np.log(
-            tsro_frequency_batch(
+            _tsro_frequency(
                 model,
                 np.tile(dvtn[live], 2),
                 np.tile(dvtp[live], 2),

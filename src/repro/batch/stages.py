@@ -1,20 +1,29 @@
-"""Array twins of the four :class:`~repro.circuits.inverter.StageModel` delays.
+"""Compiled stage kernels: each stage design's devices, sized once.
 
-Each kernel reproduces one stage flavour's ``delays`` over an
-:class:`~repro.batch.grid.EnvironmentGrid`, taking the *total* per-point
-threshold shifts (die systematic + ring's frozen mismatch) as arrays.  A
-registry maps stage classes to kernels so downstream code dispatches on the
-stage instance exactly like the scalar path does, and new stage flavours
-can plug in via :func:`register_delay_kernel`.
+A stage's delays depend on the operating point only through the supply,
+the temperature and the per-point threshold shifts and mobility scales.
+Its devices — each edge's transistor at its drawn size, a series stack
+reduced to its single-device equivalent — and its load capacitance are
+fixed at tape-out, so :func:`compile_stage` builds them once into a
+:class:`StageKernel`, which then evaluates the array twin of
+:meth:`~repro.circuits.inverter.StageModel.delays` over an
+:class:`~repro.batch.grid.EnvironmentGrid` through the one EKV formula,
+:func:`~repro.batch.device.drain_current_batch`.
+
+A registry maps each stage class to its compile step, so dispatch follows
+the stage instance exactly as the scalar path does, and new stage
+flavours plug in via :func:`register_delay_kernel`.  A ring keeps its
+compiled kernel (:func:`repro.batch.bank.ring_kernel`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, Tuple, Type
 
 import numpy as np
 
-from repro.batch.device import drain_current_batch, series_stack_current_batch
+from repro.batch.device import StackedDevice
 from repro.batch.grid import EnvironmentGrid
 from repro.circuits.inverter import (
     BalancedStage,
@@ -25,17 +34,109 @@ from repro.circuits.inverter import (
 )
 from repro.device.mosfet import MosfetParams
 
-DelayKernel = Callable[
-    [StageModel, MosfetParams, MosfetParams, EnvironmentGrid, np.ndarray, np.ndarray, float],
-    Tuple[np.ndarray, np.ndarray],
-]
 
-_DELAY_KERNELS: Dict[Type[StageModel], DelayKernel] = {}
+@dataclass(frozen=True)
+class Edge:
+    """One switching edge of a compiled stage.
+
+    Each edge follows the switching-charge rule of
+    :mod:`repro.circuits.inverter`: ``t = C_load V_DD / (ramp * I)`` with
+    ``I`` at ``V_DS = V_DD / 2``.
+
+    Attributes:
+        device: The transistor (or stack) that drives or starves the edge.
+        gate: Its gate drive as a fraction of V_DD: 1 for a full-swing
+            input, the bias-divider ratio for a starved edge.
+        ramp: 2 for a full-strength edge (an accelerating ramp), 1 for a
+            starved, constant-current one.
+    """
+
+    device: StackedDevice
+    gate: float = 1.0
+    ramp: float = 2.0
+
+    @classmethod
+    def driven(cls, device: MosfetParams) -> "Edge":
+        """A full-strength edge: gate at V_DD."""
+        return cls(StackedDevice.of(device))
+
+    @classmethod
+    def starved(cls, device: MosfetParams, bias_ratio: float, stack: int = 1) -> "Edge":
+        """An edge limited by a ``stack``-deep device whose gate sits at
+        ``bias_ratio * V_DD``."""
+        return cls(StackedDevice.of(device, stack), gate=bias_ratio, ramp=1.0)
 
 
-def register_delay_kernel(stage_type: Type[StageModel], kernel: DelayKernel) -> None:
-    """Register the batch delay kernel of a stage class."""
+@dataclass(frozen=True)
+class StageKernel:
+    """One stage design, compiled: its two edges and its load.
+
+    The rise edge is pulled up through PMOS and sees the PMOS threshold
+    shift and mobility; the fall edge is pulled down through NMOS.
+
+    Attributes:
+        rise: The pull-up edge.
+        fall: The pull-down edge.
+        load_cap: Stage load capacitance, farads.
+    """
+
+    rise: Edge
+    fall: Edge
+    load_cap: float
+
+    def delays(
+        self, grid: EnvironmentGrid, dvtn, dvtp
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(t_rise, t_fall)`` over a grid at total per-point threshold
+        shifts ``dvtn`` / ``dvtp`` (systematic plus frozen mismatch)."""
+        vdd, temp_k = grid.vdd, grid.temp_k
+        charge = self.load_cap * vdd
+        vds = vdd / 2.0
+        rise, fall = self.rise, self.fall
+        i_rise = rise.device.current(
+            rise.gate * vdd, vds, temp_k, dvt=dvtp, mu_scale=grid.mup_scale
+        )
+        i_fall = fall.device.current(
+            fall.gate * vdd, vds, temp_k, dvt=dvtn, mu_scale=grid.mun_scale
+        )
+        return charge / (rise.ramp * i_rise), charge / (fall.ramp * i_fall)
+
+
+#: A compile step: ``(stage, nmos, pmos) -> (rise, fall)`` edges, sized from
+#: the technology's unit device templates.
+EdgeCompiler = Callable[[StageModel, MosfetParams, MosfetParams], Tuple[Edge, Edge]]
+
+_DELAY_KERNELS: Dict[Type[StageModel], EdgeCompiler] = {}
+
+
+def register_delay_kernel(stage_type: Type[StageModel], kernel: EdgeCompiler) -> None:
+    """Register the compile step of a stage class.
+
+    ``kernel(stage, nmos, pmos)`` sizes the stage's devices from the unit
+    NMOS/PMOS templates and returns its ``(rise, fall)`` :class:`Edge`
+    pair.  It runs once per ring design, not once per evaluation.
+    """
     _DELAY_KERNELS[stage_type] = kernel
+
+
+def compile_stage(
+    stage: StageModel, nmos: MosfetParams, pmos: MosfetParams, load_cap: float
+) -> StageKernel:
+    """The :class:`StageKernel` of a stage design (arguments as
+    :func:`stage_delays_batch`).
+
+    Raises:
+        TypeError: If no compile step is registered for the exact stage
+            class.
+    """
+    compile_edges = _DELAY_KERNELS.get(type(stage))
+    if compile_edges is None:
+        raise TypeError(
+            f"no batch delay kernel registered for {type(stage).__name__}; "
+            "register one with repro.batch.stages.register_delay_kernel"
+        )
+    rise, fall = compile_edges(stage, nmos, pmos)
+    return StageKernel(rise=rise, fall=fall, load_cap=load_cap)
 
 
 def stage_delays_batch(
@@ -49,8 +150,11 @@ def stage_delays_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(t_rise, t_fall)`` arrays of one stage over a grid.
 
+    Compiles the stage and evaluates it once; code that evaluates a design
+    repeatedly keeps its :class:`StageKernel` instead.
+
     Args:
-        stage: The stage model instance (dispatches to its kernel).
+        stage: The stage model instance (dispatches to its compile step).
         nmos: Unit NMOS template of the technology (unshifted).
         pmos: Unit PMOS template of the technology (unshifted).
         grid: Operating points (supplies temp/vdd/mobility scales).
@@ -59,85 +163,33 @@ def stage_delays_batch(
         dvtp: Total per-point PMOS threshold-magnitude shift, volts.
         load_cap: Stage load capacitance in farads (scalar — geometry).
     """
-    kernel = _DELAY_KERNELS.get(type(stage))
-    if kernel is None:
-        raise TypeError(
-            f"no batch delay kernel registered for {type(stage).__name__}; "
-            "register one with repro.batch.stages.register_delay_kernel"
-        )
-    return kernel(stage, nmos, pmos, grid, dvtn, dvtp, load_cap)
+    return compile_stage(stage, nmos, pmos, load_cap).delays(grid, dvtn, dvtp)
 
 
-def _balanced_delays(stage, nmos, pmos, grid, dvtn, dvtp, load_cap):
-    n_dev = nmos.scaled(width_scale=stage.nmos_units, length_scale=stage.length_scale)
-    p_dev = pmos.scaled(width_scale=stage.pmos_units, length_scale=stage.length_scale)
-    i_n = drain_current_batch(
-        n_dev, grid.vdd, grid.vdd / 2.0, grid.temp_k, dvt=dvtn, mu_scale=grid.mun_scale
-    )
-    i_p = drain_current_batch(
-        p_dev, grid.vdd, grid.vdd / 2.0, grid.temp_k, dvt=dvtp, mu_scale=grid.mup_scale
-    )
-    t_fall = load_cap * grid.vdd / (2.0 * i_n)
-    t_rise = load_cap * grid.vdd / (2.0 * i_p)
-    return t_rise, t_fall
+def _balanced_edges(stage, nmos, pmos):
+    n_dev, p_dev = stage.devices(nmos, pmos)
+    return Edge.driven(p_dev), Edge.driven(n_dev)
 
 
-def _nmos_sensing_delays(stage, nmos, pmos, grid, dvtn, dvtp, load_cap):
-    bias = stage.bias_ratio * grid.vdd
-    sense = nmos.scaled(
-        width_scale=stage.sense_units, length_scale=stage.sense_length_scale
-    )
-    i_limit = series_stack_current_batch(
-        sense, stage.stack, bias, grid.vdd / 2.0, grid.temp_k,
-        dvt=dvtn, mu_scale=grid.mun_scale,
-    )
-    p_dev = pmos.scaled(width_scale=stage.pmos_units)
-    i_p = drain_current_batch(
-        p_dev, grid.vdd, grid.vdd / 2.0, grid.temp_k, dvt=dvtp, mu_scale=grid.mup_scale
-    )
-    t_fall = load_cap * grid.vdd / i_limit
-    t_rise = load_cap * grid.vdd / (2.0 * i_p)
-    return t_rise, t_fall
+def _nmos_sensing_edges(stage, nmos, pmos):
+    sense = Edge.starved(stage.sensing_device(nmos), stage.bias_ratio, stage.stack)
+    return Edge.driven(pmos.scaled(width_scale=stage.pmos_units)), sense
 
 
-def _pmos_sensing_delays(stage, nmos, pmos, grid, dvtn, dvtp, load_cap):
-    bias = stage.bias_ratio * grid.vdd
-    sense = pmos.scaled(
-        width_scale=stage.sense_units, length_scale=stage.sense_length_scale
-    )
-    i_limit = series_stack_current_batch(
-        sense, stage.stack, bias, grid.vdd / 2.0, grid.temp_k,
-        dvt=dvtp, mu_scale=grid.mup_scale,
-    )
-    n_dev = nmos.scaled(width_scale=stage.nmos_units)
-    i_n = drain_current_batch(
-        n_dev, grid.vdd, grid.vdd / 2.0, grid.temp_k, dvt=dvtn, mu_scale=grid.mun_scale
-    )
-    t_rise = load_cap * grid.vdd / i_limit
-    t_fall = load_cap * grid.vdd / (2.0 * i_n)
-    return t_rise, t_fall
+def _pmos_sensing_edges(stage, nmos, pmos):
+    sense = Edge.starved(stage.sensing_device(pmos), stage.bias_ratio, stage.stack)
+    return sense, Edge.driven(nmos.scaled(width_scale=stage.nmos_units))
 
 
-def _starved_delays(stage, nmos, pmos, grid, dvtn, dvtp, load_cap):
-    bias = stage.bias_ratio * grid.vdd
-    footer = nmos.scaled(
-        width_scale=stage.limiter_units, length_scale=stage.limiter_length_scale
+def _starved_edges(stage, nmos, pmos):
+    footer, header = stage.limiting_devices(nmos, pmos)
+    return (
+        Edge.starved(header, stage.bias_ratio),
+        Edge.starved(footer, stage.bias_ratio),
     )
-    header = pmos.scaled(
-        width_scale=stage.limiter_units, length_scale=stage.limiter_length_scale
-    )
-    i_fall = drain_current_batch(
-        footer, bias, grid.vdd / 2.0, grid.temp_k, dvt=dvtn, mu_scale=grid.mun_scale
-    )
-    i_rise = drain_current_batch(
-        header, bias, grid.vdd / 2.0, grid.temp_k, dvt=dvtp, mu_scale=grid.mup_scale
-    )
-    t_fall = load_cap * grid.vdd / i_fall
-    t_rise = load_cap * grid.vdd / i_rise
-    return t_rise, t_fall
 
 
-register_delay_kernel(BalancedStage, _balanced_delays)
-register_delay_kernel(NmosSensingStage, _nmos_sensing_delays)
-register_delay_kernel(PmosSensingStage, _pmos_sensing_delays)
-register_delay_kernel(StarvedStage, _starved_delays)
+register_delay_kernel(BalancedStage, _balanced_edges)
+register_delay_kernel(NmosSensingStage, _nmos_sensing_edges)
+register_delay_kernel(PmosSensingStage, _pmos_sensing_edges)
+register_delay_kernel(StarvedStage, _starved_edges)

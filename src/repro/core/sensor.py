@@ -34,7 +34,11 @@ from repro.core.decoupler import ProcessLut
 from repro.core.sensing_model import SensingModel
 from repro.device.technology import Technology
 from repro.readout.counter import PeriodTimer
-from repro.readout.energy import ConversionEnergy, conversion_energy
+from repro.readout.energy import (
+    ConversionEnergy,
+    conversion_energy_from_frequencies,
+    conversion_frequencies,
+)
 from repro.readout.interface import SensorFrame, encode_frame
 from repro.units import celsius_to_kelvin, kelvin_to_celsius
 from repro.variation.montecarlo import DieSample
@@ -230,7 +234,7 @@ class PTSensor:
         with telemetry.span(
             "core.conversion", die_id=self.die_id, temp_k=env.temp_k, vdd=env.vdd
         ) as trace:
-            frequencies = self.bank.frequencies(env)
+            frequencies = conversion_frequencies(self.bank, env)
             counts_n = self._counter_n.count(frequencies.psro_n, rng)
             counts_p = self._counter_p.count(frequencies.psro_p, rng)
             counts_ref = self._timer_t.count(frequencies.tsro, rng)
@@ -246,7 +250,9 @@ class PTSensor:
                 f_n_hat, f_p_hat, f_t_hat, vdd=assume_vdd
             )
 
-            energy = conversion_energy(self.bank, env, self.config)
+            energy = conversion_energy_from_frequencies(
+                self.bank, env, self.config, frequencies
+            )
             conversion_time = self.config.conversion_time(frequencies.tsro)
 
             _CONVERSIONS.inc()

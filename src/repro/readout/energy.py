@@ -57,13 +57,22 @@ def conversion_energy(
     Returns:
         The per-block energy breakdown.
     """
-    frequencies = BankFrequencies(
+    return conversion_energy_from_frequencies(
+        bank, env, config, conversion_frequencies(bank, env)
+    )
+
+
+def conversion_frequencies(bank: OscillatorBank, env: Environment) -> BankFrequencies:
+    """Frequencies of the three rings a conversion powers, under ``env``.
+
+    The reference ring is not powered during a conversion; it reads 0 Hz.
+    """
+    return BankFrequencies(
         psro_n=bank.psro_n.frequency(env),
         psro_p=bank.psro_p.frequency(env),
         tsro=bank.tsro.frequency(env),
-        reference=0.0,  # the reference ring is not powered during a conversion
+        reference=0.0,
     )
-    return conversion_energy_from_frequencies(bank, env, config, frequencies)
 
 
 def conversion_energy_from_frequencies(

@@ -27,7 +27,9 @@ from repro.batch import (
     read_uncalibrated_population,
     series_stack_current_batch,
     stage_delays_batch,
+    tsro_frequency_batch,
 )
+from repro.batch.bank import ring_kernel
 from repro.baselines.uncalibrated import UncalibratedTsroSensor
 from repro.circuits.inverter import (
     _CAPACITANCE_CACHE,
@@ -40,11 +42,14 @@ from repro.core.calibration import SelfCalibrationEngine
 from repro.core.decoupler import extract_process
 from repro.core.drift import DriftAnchoredModel
 from repro.core.errors import TemperatureRangeError
+from repro.core.sensing_model import SensingModel
 from repro.core.sensor import PTSensor
+from repro.device.mosfet import MosfetParams
 from repro.core.temperature import estimate_temperature, estimate_temperature_clamped
 from repro.device.mosfet import drain_current
 from repro.device.stack import series_stack_current
 from repro.edge.sharding import shard_seed
+from repro.experiments.exp_a1_ablation import NONZTC_STAGE_N, _NonZtcSensingModel
 from repro.experiments.common import (
     build_sensor,
     die_population,
@@ -301,6 +306,82 @@ class TestOneAlgorithm:
             one = read_paired([sensor], temps_k[i : i + 1], deterministic=True)
             for field in READING_FIELDS:
                 assert getattr(many, field)[i] == getattr(one, field)[0]
+
+
+class TestCompiledDesigns:
+    """Each ring design compiles once: a warm self-calibration builds no
+    devices and validates no grids, and still rejects bad outside input
+    with the grid's own words."""
+
+    @staticmethod
+    def _counting(monkeypatch, cls):
+        calls = []
+        original = cls.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+        return calls
+
+    def test_warm_calibration_builds_no_devices_or_grids(self, setup, monkeypatch):
+        model = SensingModel(setup.technology, setup.config)
+        temp_k = celsius_to_kelvin(70.0)
+        f_n, f_p = model.process_frequencies(0.012, -0.02, temp_k)
+        f_t = model.tsro_frequency(0.012, -0.02, temp_k)
+        devices = self._counting(monkeypatch, MosfetParams)
+        grids = self._counting(monkeypatch, EnvironmentGrid)
+
+        cold = calibrate_batch(model, f_n, f_p, f_t, lut=setup.lut)
+        assert devices, "the first call compiles the model's rings"
+        devices.clear()
+        grids.clear()
+        warm = calibrate_batch(model, f_n, f_p, f_t, lut=setup.lut)
+        assert not devices
+        assert not grids
+        assert warm.temp_k == cold.temp_k and warm.rounds_used == cold.rounds_used
+
+    def test_rings_keep_their_own_kernels(self, setup):
+        nonztc = _NonZtcSensingModel(setup.technology, setup.config)
+        for model in (setup.model, nonztc):
+            for ring in (model.bank.psro_n, model.bank.psro_p, model.bank.tsro):
+                assert ring_kernel(ring) is ring_kernel(ring)
+        bias = NONZTC_STAGE_N.bias_ratio
+        assert ring_kernel(nonztc.bank.psro_n).fall.gate == bias
+        assert ring_kernel(setup.model.bank.psro_n).fall.gate != bias
+
+    def test_bad_outside_input_raises_the_grid_text(self, setup):
+        def grid_text(**bad):
+            with pytest.raises(ValueError) as raised:
+                EnvironmentGrid.of(**{"temp_k": 300.0, "vdd": 1.2, **bad})
+            return str(raised.value)
+
+        cold, dead = grid_text(temp_k=-1.0), grid_text(vdd=0.0)
+        model, lut = setup.model, setup.lut
+        temp_k = celsius_to_kelvin(40.0)
+        f_n, f_p = model.process_frequencies(0.0, 0.0, temp_k)
+        f_t = model.tsro_frequency(0.0, 0.0, temp_k)
+        calls = {
+            cold: [
+                lambda: extract_process_batch(model, f_n, f_p, -1.0, lut=lut),
+                lambda: calibrate_batch(model, f_n, f_p, f_t, initial_temp_k=0.0),
+                lambda: process_frequencies_batch(model, 0.0, 0.0, [300.0, -5.0]),
+                lambda: tsro_frequency_batch(model, 0.0, 0.0, 0.0),
+            ],
+            dead: [
+                lambda: extract_process_batch(model, f_n, f_p, temp_k, vdd=0.0),
+                lambda: estimate_temperature_batch(model, f_t, 0.0, 0.0, vdd=-1.2),
+                lambda: calibrate_batch(model, f_n, f_p, f_t, vdd=0.0, lut=lut),
+                lambda: process_frequencies_batch(model, 0.0, 0.0, temp_k, vdd=0.0),
+                lambda: tsro_frequency_batch(model, 0.0, 0.0, temp_k, vdd=-0.5),
+            ],
+        }
+        for text, bad_calls in calls.items():
+            for call in bad_calls:
+                with pytest.raises(ValueError) as raised:
+                    call()
+                assert str(raised.value) == text
 
 
 class TestDriftAnchoredArrays:
